@@ -7,6 +7,7 @@ use crate::mesh::QuadMesh;
 use crate::mlp::TinyMlp;
 use crate::splat::SplatCloud;
 use crate::voxel::VoxelGrid;
+use nerflex_math::pool::{default_workers, parallel_map};
 use nerflex_math::{Aabb, Vec3};
 use nerflex_scene::object::ObjectModel;
 use nerflex_scene::scene::{PlacedObject, Scene};
@@ -224,7 +225,7 @@ pub fn bake_scene(scene: &Scene, configs: &[BakeConfig]) -> Vec<BakedAsset> {
         scene.objects().len(),
         "one configuration per scene object is required"
     );
-    crate::pool::parallel_map(scene.len(), crate::pool::default_workers(scene.len()), |idx| {
+    parallel_map(scene.len(), default_workers(scene.len()), |idx| {
         bake_placed(&scene.objects()[idx], configs[idx])
     })
 }

@@ -53,32 +53,63 @@ use std::io;
 use std::path::Path;
 use std::sync::Arc;
 
-/// 64-bit FNV-1a, the classic dependency-free stable hash.
+/// 64-bit FNV-1a, the classic dependency-free stable hash: the one hash
+/// behind every content fingerprint and store checksum in the workspace
+/// (numbers are fed as little-endian bytes, floats as IEEE-754 bits, so
+/// values are stable across runs and platforms).
 #[derive(Debug, Clone, Copy)]
-struct Fnv1a(u64);
+pub struct Fnv1a(u64);
 
 impl Fnv1a {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
 
-    fn new() -> Self {
+    /// A fresh hasher at the FNV-1a offset basis.
+    #[inline]
+    pub fn new() -> Self {
         Self(Self::OFFSET)
     }
 
-    fn write(&mut self, bytes: &[u8]) {
+    /// Feeds bytes.
+    #[inline]
+    pub fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(Self::PRIME);
         }
     }
 
-    fn write_f32(&mut self, v: f32) {
+    /// Feeds a `u64` as its little-endian bytes.
+    #[inline]
+    pub fn write_u64(&mut self, v: u64) {
+        self.write(&v.to_le_bytes());
+    }
+
+    /// Feeds an `f32` as its little-endian IEEE-754 bit pattern.
+    #[inline]
+    pub fn write_f32(&mut self, v: f32) {
         self.write(&v.to_bits().to_le_bytes());
     }
 
-    fn finish(self) -> u64 {
+    /// The hash of everything fed so far.
+    #[inline]
+    pub fn finish(self) -> u64 {
         self.0
     }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// FNV-1a of one byte slice.
+#[inline]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a::new();
+    h.write(bytes);
+    h.finish()
 }
 
 /// Content fingerprint of an object model: a stable 64-bit hash of its name,
@@ -421,6 +452,21 @@ mod tests {
     use nerflex_scene::object::CanonicalObject;
     use nerflex_scene::scene::Scene;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    #[test]
+    fn fnv1a_matches_the_standard_test_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+        // Streaming in pieces hashes the same bytes the same way.
+        let mut h = Fnv1a::new();
+        h.write(b"foo");
+        h.write(b"bar");
+        assert_eq!(h.finish(), fnv1a(b"foobar"));
+        let mut h = Fnv1a::new();
+        h.write_u64(0x0102_0304_0506_0708);
+        assert_eq!(h.finish(), fnv1a(&[8, 7, 6, 5, 4, 3, 2, 1]));
+    }
 
     #[test]
     fn fingerprint_is_stable_across_identical_objects() {

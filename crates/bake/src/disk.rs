@@ -34,6 +34,7 @@
 
 use crate::asset::{BakedAsset, Placement};
 use crate::atlas::TextureAtlas;
+use crate::cache::{fnv1a, Fnv1a};
 use crate::config::{BakeConfig, BakeFamily};
 use crate::mesh::{Quad, QuadMesh};
 use crate::mlp::TinyMlp;
@@ -89,16 +90,6 @@ impl std::fmt::Display for DecodeError {
 }
 
 impl std::error::Error for DecodeError {}
-
-/// FNV-1a over a byte slice (the same stable hash the fingerprint uses).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 // ---------------------------------------------------------------------------
 // Encoding
@@ -513,14 +504,11 @@ pub fn placed_asset_bytes(asset: &BakedAsset) -> Vec<u8> {
 /// FNV-1a over every asset's [`placed_asset_bytes`]: a stable byte-level
 /// fingerprint of a whole deployment.
 pub fn deployment_fingerprint(assets: &[BakedAsset]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv1a::new();
     for asset in assets {
-        for &b in &placed_asset_bytes(asset) {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        h.write(&placed_asset_bytes(asset));
     }
-    h
+    h.finish()
 }
 
 #[cfg(test)]

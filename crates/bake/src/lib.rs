@@ -35,7 +35,6 @@ pub mod disk;
 pub mod fault;
 pub mod mesh;
 pub mod mlp;
-pub mod pool;
 pub mod splat;
 pub mod store;
 pub mod voxel;
@@ -46,7 +45,7 @@ pub use backend::{
     DirBackend, EntryMeta, MemBackend, RemoteHealth, ResilienceStats, RetryPolicy, SharedBackend,
     StoreBackend,
 };
-pub use cache::{model_fingerprint, BakeCache, CacheStats};
+pub use cache::{fnv1a, model_fingerprint, BakeCache, CacheStats, Fnv1a};
 pub use config::{BakeConfig, BakeFamily};
 pub use disk::CACHE_FORMAT_VERSION;
 pub use fault::{

@@ -946,17 +946,8 @@ impl std::fmt::Display for FlushReport {
 mod tests {
     use super::*;
     use crate::backend::MemBackend;
+    use crate::cache::fnv1a;
     use std::panic::AssertUnwindSafe;
-
-    /// FNV-1a over a byte slice.
-    fn fnv1a(bytes: &[u8]) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
-    }
 
     /// A minimal framed codec for store tests: magic, key echo, payload,
     /// trailing checksum.

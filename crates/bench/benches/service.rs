@@ -173,7 +173,7 @@ fn bench_service(c: &mut Criterion) {
     }
 
     // Sanity before timing: coalescing happened, nothing baked twice, and
-    // the outputs are byte-identical to the sequential deploy_fleet path.
+    // the outputs are byte-identical to the sequential try_deploy_fleet path.
     let burst = service_burst(&scenes);
     let coalesced = burst.coalesced;
     let service_bakes = burst.bake_misses;
@@ -185,7 +185,7 @@ fn bench_service(c: &mut Criterion) {
         reference.iter().filter(|(key, fp)| burst.fingerprints.get(*key) != Some(fp)).count();
     assert_eq!(
         fingerprint_mismatches, 0,
-        "service deployments must be byte-identical to deploy_fleet"
+        "service deployments must be byte-identical to try_deploy_fleet"
     );
 
     let mut service_mean = Duration::ZERO;

@@ -12,7 +12,7 @@
 //! bakes flow through a shared content-addressed
 //! [`BakeCache`](nerflex_bake::BakeCache) so a configuration the profiler
 //! probed is never re-baked, and
-//! [`NerflexPipeline::deploy_fleet`](pipeline::NerflexPipeline::deploy_fleet)
+//! [`NerflexPipeline::try_deploy_fleet`](pipeline::NerflexPipeline::try_deploy_fleet)
 //! amortises segmentation and profiling across a whole fleet of devices —
 //! only selection and incremental baking run per device budget.
 //!

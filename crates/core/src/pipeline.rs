@@ -18,7 +18,7 @@
 //!   shared [`BakeCache`], and the final baking stage consults it first: a
 //!   selected configuration that was already probed is never re-baked.
 //!   [`StageTimings`] reports the hit/miss counters.
-//! * **Fleet amortisation** — [`NerflexPipeline::deploy_fleet`] prepares one
+//! * **Fleet amortisation** — [`NerflexPipeline::try_deploy_fleet`] prepares one
 //!   scene for many devices: segmentation and profiling run exactly once,
 //!   and only selection plus incremental baking run per device budget, with
 //!   all bakes shared through one cache.
@@ -29,7 +29,7 @@ use nerflex_bake::{BakeCache, BakeConfig, BakedAsset, CacheStats, StoreLimits, S
 use nerflex_device::{DeviceSpec, Workload};
 use nerflex_math::WorkerPool;
 use nerflex_profile::{
-    build_profile_accounted, GroundTruthCache, MetricsAccounting, ObjectProfile, ProfilerOptions,
+    build_profile_in, GroundTruthCache, MetricsAccounting, ObjectProfile, ProfilerOptions,
 };
 use nerflex_scene::dataset::Dataset;
 use nerflex_scene::scene::Scene;
@@ -46,10 +46,10 @@ use std::time::{Duration, Instant};
 /// [`crate::service::DeployService::submit`]) report them as values so a
 /// long-running service can refuse one bad request without dying.
 ///
-/// The `Display` strings deliberately contain the historical panic messages
-/// (`"cannot deploy an empty scene"`, `"need training views"`, `"need at
-/// least one device"`), so the deprecated panicking wrappers keep their
-/// observable behaviour.
+/// The `Display` strings deliberately keep the messages the old asserts
+/// panicked with (`"cannot deploy an empty scene"`, `"need training
+/// views"`, `"need at least one device"`), so callers and logs that match
+/// on that text keep working.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PipelineError {
     /// The scene has no objects.
@@ -163,13 +163,6 @@ pub struct PipelineOptions {
     pub space: ConfigSpace,
     /// The configuration selector (Algorithm 1 by default).
     pub selector: Arc<dyn ConfigSelector + Send + Sync>,
-    /// Pipeline-wide fallback override for the memory budget in MB; `None`
-    /// uses the device's recommended budget (240 MB iPhone / 150 MB Pixel).
-    /// Per-request budgets belong on [`crate::service::DeployRequest`]
-    /// (`with_budget_mb`) — this field only remains as the fallback behind
-    /// the deprecated [`PipelineOptions::with_budget_override_mb`] sugar and
-    /// is deliberately no longer `pub`.
-    pub(crate) budget_override_mb: Option<f64>,
     /// Worker threads for the parallel stages (profiling, baking): `0` uses
     /// one worker per available core; `1` forces the sequential path (useful
     /// for determinism comparisons and single-core environments). Workers
@@ -180,8 +173,8 @@ pub struct PipelineOptions {
     /// covering location/backend, retention limits and read-only mode. The
     /// bake store lives at the root the options name and the ground-truth
     /// store under its `ground-truth/` child ([`StoreOptions::subdir`]), on
-    /// every backend layer. When persistent, [`NerflexPipeline::run`] and
-    /// [`NerflexPipeline::deploy_fleet`] open the stores before the run and
+    /// every backend layer. When persistent, [`NerflexPipeline::try_run`] and
+    /// [`NerflexPipeline::try_deploy_fleet`] open the stores before the run and
     /// flush new entries after it, so bakes and ground truths are shared
     /// across *processes* — and, with [`StoreOptions::shared`], across
     /// *machines* through a common remote. The in-memory default keeps both
@@ -217,7 +210,6 @@ impl std::fmt::Debug for PipelineOptions {
             .field("segmentation", &self.segmentation)
             .field("space", &self.space)
             .field("selector", &self.selector.name())
-            .field("budget_override_mb", &self.budget_override_mb)
             .field("worker_threads", &self.worker_threads)
             .field("store", &self.store)
             .field("pool_threads", &self.pool.threads())
@@ -233,7 +225,6 @@ impl Default for PipelineOptions {
             profiler: ProfilerOptions::default(),
             space: ConfigSpace::paper_default(),
             selector: Arc::new(DpSelector::default()),
-            budget_override_mb: None,
             worker_threads: 0,
             store: StoreOptions::default(),
             pool: WorkerPool::shared(),
@@ -280,18 +271,6 @@ impl PipelineOptions {
     /// Replaces the selector (used by the Fig. 7 / Fig. 8 ablations).
     pub fn with_selector(mut self, selector: Arc<dyn ConfigSelector + Send + Sync>) -> Self {
         self.selector = selector;
-        self
-    }
-
-    /// Pins a pipeline-wide memory-budget override in MB, applied to every
-    /// device the pipeline deploys to.
-    #[deprecated(
-        since = "0.2.0",
-        note = "budgets are per-request now: set them on `DeployRequest::with_budget_mb` (the \
-                service path) — this sugar only installs a pipeline-wide fallback"
-    )]
-    pub fn with_budget_override_mb(mut self, budget_mb: f64) -> Self {
-        self.budget_override_mb = Some(budget_mb);
         self
     }
 
@@ -365,9 +344,6 @@ pub struct StageTimings {
     /// Near zero when the shared [`GroundTruthCache`] answered every lookup,
     /// e.g. on a warm persistent store.
     pub ground_truth: Duration,
-    /// Worker threads tiling each ground-truth render (the per-profile
-    /// leftover budget; output bits never depend on it).
-    pub ground_truth_workers: usize,
     /// Ground truths actually rendered by the profiling stage.
     pub ground_truth_builds: usize,
     /// Ground-truth lookups answered without rendering (in-memory or
@@ -379,9 +355,6 @@ pub struct StageTimings {
     /// times (serial-equivalent, like `profiling_serial`): concurrent sample
     /// workers score in parallel, so this can exceed the stage's wall clock.
     pub metrics: Duration,
-    /// Worker threads tiling each fused metrics evaluation (the per-profile
-    /// leftover budget; metric values never depend on it).
-    pub metrics_workers: usize,
     /// Number of (ground truth, render) pairs the metrics stage scored.
     pub metrics_evaluations: usize,
     /// Configuration selection (the DP solver).
@@ -391,7 +364,8 @@ pub struct StageTimings {
     /// Worker threads fanned out across objects by the profiling stage.
     pub profiling_workers: usize,
     /// Worker threads fanned out *within* each profile, over its independent
-    /// sample measurements (1 = sequential per object).
+    /// sample measurements and its ground-truth render tiles (1 =
+    /// sequential per object).
     pub profiling_sample_workers: usize,
     /// Worker threads used by the baking stage.
     pub baking_workers: usize,
@@ -465,21 +439,18 @@ impl StageTimings {
     /// Formats the breakdown as a one-line summary.
     pub fn summary(&self) -> String {
         format!(
-            "segmentation {} | profiler {} ({}x{} workers, {:.1}x speedup; ground truth {} on \
-             {} workers, {} built / {} cached; metrics {} on {} workers, {} evaluations) | \
-             solver {} | total overhead {} | bake cache {}/{} hits ({} from disk) | \
-             pool {} dispatches / {} jobs",
+            "segmentation {} | profiler {} ({}x{} workers, {:.1}x speedup; ground truth {}, \
+             {} built / {} cached; metrics {}, {} evaluations) | solver {} | total overhead {} | \
+             bake cache {}/{} hits ({} from disk) | pool {} dispatches / {} jobs",
             format_duration(self.segmentation),
             format_duration(self.profiling),
             self.profiling_workers.max(1),
             self.profiling_sample_workers.max(1),
             self.profiling_speedup(),
             format_duration(self.ground_truth),
-            self.ground_truth_workers.max(1),
             self.ground_truth_builds,
             self.ground_truth_hits,
             format_duration(self.metrics),
-            self.metrics_workers.max(1),
             self.metrics_evaluations,
             format_duration(self.selection),
             format_duration(self.overhead()),
@@ -545,7 +516,7 @@ pub struct FleetStageRuns {
     pub baking: usize,
 }
 
-/// The output of [`NerflexPipeline::deploy_fleet`]: one deployment per
+/// The output of [`NerflexPipeline::try_deploy_fleet`]: one deployment per
 /// device, produced from a single segmentation + profiling pass and a shared
 /// bake cache.
 #[derive(Debug, Clone)]
@@ -587,7 +558,7 @@ impl NerflexPipeline {
     /// override when set, else one per core).
     fn configured_workers(&self) -> usize {
         match self.options.worker_threads {
-            0 => nerflex_bake::pool::env_workers()
+            0 => nerflex_math::pool::env_workers()
                 .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
             n => n,
         }
@@ -602,8 +573,8 @@ impl NerflexPipeline {
     /// named by [`PipelineOptions::store`] when persistent (falling back to
     /// an in-memory cache if the backing store is unusable), an in-memory
     /// cache otherwise. Callers that hold the cache across runs pair this
-    /// with [`BakeCache::flush`]; [`NerflexPipeline::run`] and
-    /// [`NerflexPipeline::deploy_fleet`] do both automatically.
+    /// with [`BakeCache::flush`]; [`NerflexPipeline::try_run`] and
+    /// [`NerflexPipeline::try_deploy_fleet`] do both automatically.
     pub fn open_cache(&self) -> BakeCache {
         if !self.options.store.is_persistent() {
             // In-memory open cannot fail; going through `open` (rather than
@@ -682,16 +653,8 @@ impl NerflexPipeline {
         let t = Instant::now();
         let workers = self.workers_for(scene.len());
         let sample_workers = (self.configured_workers() / workers).max(1);
-        // The metrics evaluations run *inside* the per-sample fan-out, so
-        // they only get whatever budget the outer two levels leave over —
-        // giving them `sample_workers` would oversubscribe the pool
-        // (workers × samples × metrics threads) for tiny per-image tilings.
-        // The values are worker-count invariant either way.
-        let metrics_workers = (self.configured_workers() / (workers * sample_workers)).max(1);
         let mut profiler = self.options.profiler;
         profiler.measurement.worker_threads = sample_workers;
-        profiler.measurement.ground_truth_workers = sample_workers;
-        profiler.measurement.metrics_workers = metrics_workers;
         let metrics_accounting = MetricsAccounting::new();
         let pool_before = self.options.pool.stats();
         // Snapshot the ground-truth counters so the stage reports *this
@@ -702,7 +665,7 @@ impl NerflexPipeline {
         let profiled = self.options.pool.run(scene.len(), workers, |idx| {
             let object = &scene.objects()[idx];
             let t_obj = Instant::now();
-            let profile = build_profile_accounted(
+            let profile = build_profile_in(
                 &object.model,
                 object.id,
                 &profiler,
@@ -725,12 +688,10 @@ impl NerflexPipeline {
                 profiling_workers: workers,
                 profiling_sample_workers: sample_workers,
                 ground_truth: ground_truth.build_time() - gt_time_before,
-                ground_truth_workers: sample_workers,
                 ground_truth_builds: gt_stats.builds - gt_before.builds,
                 ground_truth_hits: (gt_stats.hits + gt_stats.disk_hits)
                     - (gt_before.hits + gt_before.disk_hits),
                 metrics: metrics_accounting.time(),
-                metrics_workers,
                 metrics_evaluations: metrics_accounting.evaluations(),
                 pool_dispatches: pool_after.dispatches - pool_before.dispatches,
                 pool_jobs: pool_after.jobs - pool_before.jobs,
@@ -826,17 +787,14 @@ impl NerflexPipeline {
     }
 
     /// Resolves the memory budget for one request: the request's own
-    /// override when given, else the (deprecated) pipeline-wide override,
-    /// else the device's recommended budget. Overrides must be positive and
-    /// finite.
+    /// override when given, else the device's recommended budget. Overrides
+    /// must be positive and finite.
     pub(crate) fn resolve_budget_mb(
         &self,
         request_override_mb: Option<f64>,
         device: &DeviceSpec,
     ) -> Result<f64, PipelineError> {
-        let budget_mb = request_override_mb
-            .or(self.options.budget_override_mb)
-            .unwrap_or(device.recommended_budget_mb);
+        let budget_mb = request_override_mb.unwrap_or(device.recommended_budget_mb);
         if !budget_mb.is_finite() || budget_mb <= 0.0 {
             return Err(PipelineError::InvalidBudget { requested_mb: budget_mb });
         }
@@ -867,15 +825,6 @@ impl NerflexPipeline {
         Ok(fleet.deployments.into_iter().next().expect("one device yields one deployment"))
     }
 
-    /// Deprecated panicking form of [`NerflexPipeline::try_run`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `try_run`, which reports invalid input as `PipelineError` instead of panicking"
-    )]
-    pub fn run(&self, scene: &Scene, dataset: &Dataset, device: &DeviceSpec) -> NerflexDeployment {
-        self.try_run(scene, dataset, device).unwrap_or_else(|err| panic!("{err}"))
-    }
-
     /// [`NerflexPipeline::try_run`] against a caller-owned [`BakeCache`], so
     /// sample and final bakes persist across pipeline runs (e.g. re-deploying
     /// after a budget change re-bakes nothing that was already baked). This
@@ -896,22 +845,6 @@ impl NerflexPipeline {
         let budget_mb = self.resolve_budget_mb(None, device)?;
         let (segmentation, profiles, shared) = self.shared_stages(scene, dataset, cache);
         Ok(self.deploy_budget(scene, device, budget_mb, &segmentation, &profiles, cache, shared))
-    }
-
-    /// Deprecated panicking form of [`NerflexPipeline::try_run_with_cache`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `try_run_with_cache`, which reports invalid input as `PipelineError` instead \
-                of panicking"
-    )]
-    pub fn run_with_cache(
-        &self,
-        scene: &Scene,
-        dataset: &Dataset,
-        device: &DeviceSpec,
-        cache: &BakeCache,
-    ) -> NerflexDeployment {
-        self.try_run_with_cache(scene, dataset, device, cache).unwrap_or_else(|err| panic!("{err}"))
     }
 
     /// Prepares one scene for a whole fleet of devices, amortising the
@@ -977,21 +910,6 @@ impl NerflexPipeline {
         })
     }
 
-    /// Deprecated panicking form of [`NerflexPipeline::try_deploy_fleet`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `try_deploy_fleet`, which reports invalid input as `PipelineError` instead of \
-                panicking"
-    )]
-    pub fn deploy_fleet(
-        &self,
-        scene: &Scene,
-        dataset: &Dataset,
-        devices: &[DeviceSpec],
-    ) -> FleetDeployment {
-        self.try_deploy_fleet(scene, dataset, devices).unwrap_or_else(|err| panic!("{err}"))
-    }
-
     /// The per-budget tail of the pipeline (selection + baking) over shared
     /// segmentation/profiling outputs. The `Arc`s are cloned by reference
     /// count only — a fleet's deployments share one copy of the segmentation
@@ -1030,11 +948,9 @@ impl NerflexPipeline {
                 baking: baking_time,
                 profiling_workers: shared.profiling_workers,
                 profiling_sample_workers: shared.profiling_sample_workers,
-                ground_truth_workers: shared.ground_truth_workers,
                 ground_truth_builds: shared.ground_truth_builds,
                 ground_truth_hits: shared.ground_truth_hits,
                 metrics: shared.metrics,
-                metrics_workers: shared.metrics_workers,
                 metrics_evaluations: shared.metrics_evaluations,
                 pool_dispatches: shared.pool_dispatches,
                 pool_jobs: shared.pool_jobs,
@@ -1059,11 +975,9 @@ pub(crate) struct SharedStages {
     profiling_workers: usize,
     profiling_sample_workers: usize,
     ground_truth: Duration,
-    ground_truth_workers: usize,
     ground_truth_builds: usize,
     ground_truth_hits: usize,
     metrics: Duration,
-    metrics_workers: usize,
     metrics_evaluations: usize,
     pool_dispatches: u64,
     pool_jobs: u64,
@@ -1128,13 +1042,25 @@ mod tests {
         // sampling also probes (g ∈ {10, 30, 40} × p ∈ {3, 6, 9} corners).
         // The final bake must therefore be answered by the cache.
         let (scene, dataset) = small_scene_and_dataset();
-        // The deprecated pipeline-wide override still works as sugar for a
-        // per-request budget.
-        #[allow(deprecated)]
-        let pipeline =
-            NerflexPipeline::new(PipelineOptions::quick().with_budget_override_mb(500.0));
-        let deployment =
-            pipeline.try_run(&scene, &dataset, &DeviceSpec::iphone_13()).expect("deploy");
+        let service = crate::service::DeployService::new(crate::service::ServiceOptions::inline(
+            PipelineOptions::quick(),
+        ));
+        service
+            .submit(
+                crate::service::DeployRequest::new(
+                    Arc::new(scene.clone()),
+                    Arc::new(dataset),
+                    DeviceSpec::iphone_13(),
+                )
+                .with_budget_mb(500.0),
+            )
+            .expect("valid request");
+        let deployment = service
+            .next_outcome()
+            .expect("one outcome")
+            .into_success()
+            .expect("success")
+            .deployment;
         let profiled: Vec<BakeConfig> =
             deployment.profiles[0].samples.iter().map(|s| s.config).collect();
         let picked_profiled =
@@ -1171,13 +1097,11 @@ mod tests {
         assert_eq!(t.ground_truth_hits, 1);
         assert!(t.ground_truth > Duration::ZERO);
         assert!(t.ground_truth_ms() > 0.0);
-        assert!(t.ground_truth_workers >= 1);
         assert!(t.summary().contains("ground truth"));
         // The metrics stage is accounted alongside: every sample render of
         // both profiles was scored by the fused engine.
         assert!(t.metrics > Duration::ZERO, "metrics stage must be timed: {t:?}");
         assert!(t.metrics_ms() > 0.0);
-        assert!(t.metrics_workers >= 1);
         assert!(t.metrics_evaluations > 0);
         assert!(t.summary().contains("metrics"));
     }
@@ -1329,8 +1253,8 @@ mod tests {
 
     #[test]
     fn pipeline_errors_display_the_historic_panic_messages() {
-        // The deprecated panicking wrappers format these errors into their
-        // panic message — the strings the old asserts used must survive.
+        // The messages the entry points used to panic with must survive in
+        // the errors' display strings.
         assert!(PipelineError::EmptyScene.to_string().contains("cannot deploy an empty scene"));
         assert!(PipelineError::EmptyDataset.to_string().contains("need training views"));
         assert!(PipelineError::EmptyFleet.to_string().contains("need at least one device"));
@@ -1365,30 +1289,6 @@ mod tests {
         assert_eq!(rebuilt.space.configurations().len(), default.space.configurations().len());
         assert_eq!(rebuilt.worker_threads, default.worker_threads);
         assert_eq!(rebuilt.store.describe(), default.store.describe());
-        assert_eq!(rebuilt.budget_override_mb, None);
         assert!(std::ptr::eq(rebuilt.pool, default.pool));
-        // The deprecated sugar still routes to the same field the requests
-        // override.
-        #[allow(deprecated)]
-        let sugared = PipelineOptions::default().with_budget_override_mb(42.0);
-        assert_eq!(sugared.budget_override_mb, Some(42.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "empty scene")]
-    fn empty_scene_panics() {
-        let scene = Scene::new();
-        let other = Scene::with_objects(&[CanonicalObject::Hotdog], 1);
-        let dataset = Dataset::generate(&other, 1, 1, 32, 32);
-        #[allow(deprecated)]
-        let _ = NerflexPipeline::default().run(&scene, &dataset, &DeviceSpec::iphone_13());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one device")]
-    fn empty_fleet_panics() {
-        let (scene, dataset) = small_scene_and_dataset();
-        #[allow(deprecated)]
-        let _ = NerflexPipeline::new(PipelineOptions::quick()).deploy_fleet(&scene, &dataset, &[]);
     }
 }

@@ -55,7 +55,7 @@ use crate::clock::{Clock, WallClock};
 use crate::pipeline::{
     NerflexDeployment, NerflexPipeline, PipelineError, PipelineOptions, SharedStages,
 };
-use nerflex_bake::{model_fingerprint, BakeCache, CacheStats};
+use nerflex_bake::{model_fingerprint, BakeCache, CacheStats, Fnv1a};
 use nerflex_device::DeviceSpec;
 use nerflex_math::WorkerPool;
 use nerflex_profile::{GroundTruthCache, GroundTruthStats, ObjectProfile};
@@ -888,30 +888,6 @@ impl ServiceShared {
 // Content fingerprinting
 // ---------------------------------------------------------------------------
 
-/// FNV-1a accumulator for the (scene, dataset) coalescing key.
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn new() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    fn write_f32(&mut self, v: f32) {
-        self.write(&v.to_bits().to_le_bytes());
-    }
-}
-
 /// Content fingerprint of one (scene, dataset) pair — the coalescing key.
 ///
 /// Covers everything the shared stages read: every placed object (the same
@@ -953,7 +929,7 @@ pub fn scene_content_key(scene: &Scene, dataset: &Dataset) -> u64 {
             }
         }
     }
-    h.0
+    h.finish()
 }
 
 // ---------------------------------------------------------------------------

@@ -5,8 +5,7 @@
 //! The pool lives in `nerflex-math` — the bottom of the crate graph — so
 //! both the scene renderer (which `nerflex-bake` depends on) and the higher
 //! pipeline stages can fan work over the same primitive without a
-//! dependency cycle. `nerflex_bake::pool` re-exports it under its original
-//! path.
+//! dependency cycle.
 //!
 //! Since the persistent-pool rework, [`parallel_map`] no longer spawns
 //! scoped threads per call: every dispatch runs on one process-wide

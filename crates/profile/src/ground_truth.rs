@@ -28,8 +28,8 @@
 //! the shared store machinery.
 
 use crate::measurement::{MeasurementSettings, ObjectGroundTruth};
-use nerflex_bake::model_fingerprint;
 use nerflex_bake::store::{EntryCodec, KeyedStore, StoreOptions};
+use nerflex_bake::{fnv1a, model_fingerprint};
 use nerflex_image::{Color, Image};
 use nerflex_scene::object::ObjectModel;
 use std::io;
@@ -70,16 +70,6 @@ fn parse_entry_file_name(name: &str) -> Option<GtKey> {
     let views = parts.next()?.strip_prefix('v')?.parse().ok()?;
     let resolution = parts.next()?.strip_prefix('r')?.parse().ok()?;
     parts.next().is_none().then_some((fingerprint, views, resolution))
-}
-
-/// FNV-1a over a byte slice (the same stable hash the bake store uses).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Serializes the probe images of one entry.
@@ -414,7 +404,7 @@ mod tests {
         assert!(Arc::ptr_eq(&first, &again) && Arc::ptr_eq(&first, &clone));
         assert!(cache.build_time() > Duration::ZERO);
         // Worker counts never affect the key (output bits are identical).
-        let other = cache.get_or_build(&model, &settings.with_ground_truth_workers(4));
+        let other = cache.get_or_build(&model, &settings.with_worker_threads(4));
         assert!(Arc::ptr_eq(&first, &other), "worker count is not part of the key");
         let mut finer = settings;
         finer.resolution = 32;
@@ -545,12 +535,12 @@ mod tests {
         let settings = quick_settings();
         let configs = [BakeConfig::new(10, 3), BakeConfig::new(16, 5)];
 
-        let direct = measure_object_in(&model, &configs, &settings, None, None);
+        let direct = measure_object_in(&model, &configs, &settings, None, None, None);
         let cold = GroundTruthCache::open(&tmp.0).expect("open");
-        let first = measure_object_in(&model, &configs, &settings, None, Some(&cold));
+        let first = measure_object_in(&model, &configs, &settings, None, Some(&cold), None);
         cold.flush().expect("flush");
         let warm = GroundTruthCache::open(&tmp.0).expect("reopen");
-        let second = measure_object_in(&model, &configs, &settings, None, Some(&warm));
+        let second = measure_object_in(&model, &configs, &settings, None, Some(&warm), None);
         assert_eq!(direct, first);
         assert_eq!(first, second);
         assert_eq!(warm.stats().misses, 0, "warm run renders no ground truth");

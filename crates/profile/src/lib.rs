@@ -33,15 +33,9 @@ pub mod profiler;
 pub mod sampling;
 
 pub use ground_truth::{GroundTruthCache, GroundTruthStats};
-pub use measurement::{
-    measure_object, measure_object_accounted, measure_object_cached, measure_object_in,
-    DispatchMode, Measurement, MetricsAccounting,
-};
+pub use measurement::{measure_object, measure_object_in, Measurement, MetricsAccounting};
 pub use model::{
     QualityModel, SizeModel, SizeQualityModel, SplatModels, SplatQualityModel, SplatSizeModel,
 };
-pub use profiler::{
-    build_profile, build_profile_accounted, build_profile_cached, build_profile_in, ObjectProfile,
-    ProfilerOptions,
-};
+pub use profiler::{build_profile, build_profile_in, ObjectProfile, ProfilerOptions};
 pub use sampling::{sample_configurations, splat_sample_configurations, SplatSampleRange};

@@ -6,8 +6,9 @@
 //! training runs for the sample points; the profiler then fits its
 //! closed-form models to these measurements.
 
-use nerflex_bake::{bake_object, BakeCache, BakeConfig, BakedAsset};
+use nerflex_bake::{bake_object, BakeCache, BakeConfig};
 use nerflex_image::{metrics, Image, MetricsScratch};
+use nerflex_math::pool::default_workers;
 use nerflex_math::{LaneWidth, WorkerPool};
 use nerflex_render::{render_assets, RenderOptions};
 use nerflex_scene::camera_path::{orbit_path, CameraPose};
@@ -32,97 +33,39 @@ pub struct Measurement {
     pub quad_count: usize,
 }
 
-/// How measurements are taken (probe view count, resolution, and how many
-/// worker threads fan out over the sample configurations and over the
-/// ground-truth render tiles).
+/// How measurements are taken: probe view count and resolution, how many
+/// worker threads fan out over the sample configurations and the
+/// ground-truth render tiles, and the SIMD lane width.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MeasurementSettings {
     /// Number of probe views on the measurement orbit.
     pub views: usize,
     /// Probe image resolution (square).
     pub resolution: usize,
-    /// Worker threads measuring sample configurations in parallel: the
-    /// per-object samples are independent measurements against one shared
-    /// ground truth, so they fan out over the bake worker pool. `1`
-    /// (the default) is the bit-for-bit sequential path; `0` uses one
-    /// worker per available core.
+    /// Worker threads of the measurement: the sample bakes, the
+    /// (configuration × view) scoring grid and the tiled ray-marched
+    /// ground-truth renders ([`nerflex_scene::raymarch::render_view_lanes`])
+    /// all fan out over this many pool workers. Output bits are identical
+    /// for every value; `1` (the default) is the sequential path, `0` uses
+    /// one worker per available core.
     pub worker_threads: usize,
-    /// Worker threads for the tiled ray-marched ground-truth renders
-    /// ([`nerflex_scene::raymarch::render_view_parallel`]). The rendered
-    /// images are bit-identical for every value; `1` (the default) is the
-    /// sequential path, `0` uses one worker per available core.
-    pub ground_truth_workers: usize,
-    /// Worker threads for the fused quality-metrics evaluation
-    /// ([`nerflex_image::metrics::quality_metrics_parallel`]) that scores a
-    /// sample render against the ground truth. The metric values are
-    /// bit-identical for every value; `1` (the default) is the sequential
-    /// path, `0` uses one worker per available core.
-    pub metrics_workers: usize,
     /// SIMD lane width of the ground-truth ray marching and the fused
     /// metrics band kernel. Output bits never change with the lane width
     /// (see `docs/determinism.md`), so this is purely a throughput knob.
     pub lane_width: LaneWidth,
-    /// How the (configuration × probe view) evaluation grid is scheduled
-    /// over the worker pool. Both modes are bit-identical; see
-    /// [`DispatchMode`].
-    pub dispatch: DispatchMode,
 }
 
 impl Default for MeasurementSettings {
     fn default() -> Self {
-        Self {
-            views: 3,
-            resolution: 96,
-            worker_threads: 1,
-            ground_truth_workers: 1,
-            metrics_workers: 1,
-            lane_width: LaneWidth::X4,
-            dispatch: DispatchMode::Batched,
-        }
+        Self { views: 3, resolution: 96, worker_threads: 1, lane_width: LaneWidth::X4 }
     }
-}
-
-/// How a profile's (configuration × probe view) evaluation grid is
-/// scheduled over the persistent worker pool.
-///
-/// Both modes produce bit-identical measurements: the batched grid scores
-/// each (configuration, view) pair with the same fused metrics engine and
-/// folds the per-view scores in view order — the same floating-point
-/// association as the per-sample loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum DispatchMode {
-    /// One pool dispatch per profile *stage*, one job per sample
-    /// configuration; each job renders and scores its probe views in a
-    /// local loop (the pre-batching reference path).
-    PerSample,
-    /// Whole-profile batching: one dispatch bakes every configuration,
-    /// then a single dispatch fans the flattened (configuration × view)
-    /// grid with persistent per-worker scratch (framebuffers and metrics
-    /// buffers reused across jobs). Fewer dispatches, fewer allocations,
-    /// same bits.
-    #[default]
-    Batched,
 }
 
 impl MeasurementSettings {
-    /// Returns the settings with the given sample-measurement worker count
-    /// (`0` = one per core, `1` = sequential).
+    /// Returns the settings with the given worker count (`0` = one per
+    /// core, `1` = sequential; output bits never change).
     pub fn with_worker_threads(mut self, workers: usize) -> Self {
         self.worker_threads = workers;
-        self
-    }
-
-    /// Returns the settings with the given ground-truth render worker count
-    /// (`0` = one per core, `1` = sequential; output bits never change).
-    pub fn with_ground_truth_workers(mut self, workers: usize) -> Self {
-        self.ground_truth_workers = workers;
-        self
-    }
-
-    /// Returns the settings with the given metrics worker count (`0` = one
-    /// per core, `1` = sequential; metric values never change).
-    pub fn with_metrics_workers(mut self, workers: usize) -> Self {
-        self.metrics_workers = workers;
         self
     }
 
@@ -130,13 +73,6 @@ impl MeasurementSettings {
     /// never change).
     pub fn with_lane_width(mut self, lane_width: LaneWidth) -> Self {
         self.lane_width = lane_width;
-        self
-    }
-
-    /// Returns the settings with the given evaluation-grid dispatch mode
-    /// (both modes are bit-identical).
-    pub fn with_dispatch(mut self, dispatch: DispatchMode) -> Self {
-        self.dispatch = dispatch;
         self
     }
 }
@@ -214,8 +150,8 @@ impl ObjectGroundTruth {
     }
 
     /// Renders the ground truth for a standalone object. The ray-marched
-    /// probe renders are tiled over `settings.ground_truth_workers` pool
-    /// threads and marched at `settings.lane_width`; the images are
+    /// probe renders are tiled over `settings.worker_threads` pool threads
+    /// and marched at `settings.lane_width`; the images are
     /// bit-identical for every worker count and lane width.
     pub fn build(model: &ObjectModel, settings: &MeasurementSettings) -> Self {
         let (scene, poses) = Self::probe_rig(model, settings);
@@ -227,7 +163,7 @@ impl ObjectGroundTruth {
                     pose,
                     settings.resolution,
                     settings.resolution,
-                    settings.ground_truth_workers,
+                    settings.worker_threads,
                     settings.lane_width,
                 )
                 .0
@@ -256,46 +192,13 @@ impl ObjectGroundTruth {
         Some(Self { scene, poses, images, resolution: settings.resolution })
     }
 
-    /// Measures one configuration: bakes the object, renders the probe views
-    /// and compares against the cached ground truth.
+    /// Measures one configuration the plain way: bakes the object, renders
+    /// each probe view, scores it against the cached ground truth with
+    /// [`metrics::quality_metrics`] and folds the scores in view order. This
+    /// is the reference the batched [`measure_object_in`] path is tested
+    /// against bit for bit.
     pub fn measure(&self, config: BakeConfig) -> Measurement {
-        self.measure_in(config, None, 1, None)
-    }
-
-    /// Like [`ObjectGroundTruth::measure`], but the sample bake goes through
-    /// the shared [`BakeCache`] — so the final baking stage can later reuse
-    /// it, and repeated probes of one configuration are free.
-    pub fn measure_cached(&self, config: BakeConfig, cache: &BakeCache) -> Measurement {
-        self.measure_in(config, Some(cache), 1, None)
-    }
-
-    /// The fully wired measurement: optional shared bake cache, the fused
-    /// quality metrics tiled over `metrics_workers` pool threads (`0` = one
-    /// per core; metric values are bit-identical for every count) and
-    /// optional wall-clock accounting of the metrics stage.
-    pub fn measure_in(
-        &self,
-        config: BakeConfig,
-        cache: Option<&BakeCache>,
-        metrics_workers: usize,
-        accounting: Option<&MetricsAccounting>,
-    ) -> Measurement {
-        let placed = &self.scene.objects()[0];
-        let asset = match cache {
-            Some(cache) => cache.get_or_bake_placed(placed, config),
-            None => nerflex_bake::bake_placed(placed, config),
-        };
-        self.score(asset, metrics_workers, accounting)
-    }
-
-    /// Renders the probe views of a baked asset and scores them against the
-    /// cached ground truth through the fused metrics engine.
-    fn score(
-        &self,
-        asset: BakedAsset,
-        metrics_workers: usize,
-        accounting: Option<&MetricsAccounting>,
-    ) -> Measurement {
+        let asset = nerflex_bake::bake_placed(&self.scene.objects()[0], config);
         let mut ssim_sum = 0.0;
         for (pose, gt) in self.poses.iter().zip(&self.images) {
             let (img, _) = render_assets(
@@ -305,11 +208,7 @@ impl ObjectGroundTruth {
                 self.resolution,
                 &RenderOptions::default(),
             );
-            let started = Instant::now();
-            ssim_sum += metrics::quality_metrics_parallel(gt, &img, metrics_workers).ssim;
-            if let Some(accounting) = accounting {
-                accounting.record(started.elapsed());
-            }
+            ssim_sum += metrics::quality_metrics(gt, &img).ssim;
         }
         Measurement {
             config: asset.config,
@@ -329,44 +228,24 @@ pub fn measure_object(
     configs: &[BakeConfig],
     settings: &MeasurementSettings,
 ) -> Vec<Measurement> {
-    measure_object_cached(model, configs, settings, None)
+    measure_object_in(model, configs, settings, None, None, None)
 }
 
-/// Measures every configuration in `configs`, routing sample bakes through
-/// the shared [`BakeCache`] when one is given. This is the profiling path the
-/// pipeline engine uses: every sample bake it pays for becomes available to
-/// the final baking stage.
-pub fn measure_object_cached(
-    model: &ObjectModel,
-    configs: &[BakeConfig],
-    settings: &MeasurementSettings,
-    cache: Option<&BakeCache>,
-) -> Vec<Measurement> {
-    measure_object_in(model, configs, settings, cache, None)
-}
-
-/// Like [`measure_object_cached`], but the expensive ray-marched ground
-/// truth additionally comes from a shared
-/// [`GroundTruthCache`](crate::ground_truth::GroundTruthCache) when one is
-/// given — so repeated profiling of the same (model, probe settings) pair
-/// (duplicate objects in a scene, fleet re-deployments, warm bench/CI runs)
-/// renders it only once. Cached and freshly built ground truths are
-/// bit-identical, so the measurements do not depend on where the ground
-/// truth came from.
+/// [`measure_object`] wired into the engine's shared state, each part
+/// optional:
+///
+/// * `cache` — sample bakes go through the shared [`BakeCache`], so the
+///   final baking stage can reuse every configuration the profiler paid for;
+/// * `ground_truth` — the expensive ray-marched ground truth comes from a
+///   shared [`GroundTruthCache`](crate::ground_truth::GroundTruthCache), so
+///   repeated profiling of one (model, probe settings) pair (duplicate
+///   objects, fleet re-deployments, warm bench/CI runs) renders it once.
+///   Cached and fresh ground truths are bit-identical, so the measurements
+///   do not depend on where it came from;
+/// * `accounting` — wall-clock accounting of the fused quality-metrics
+///   stage (the engine passes one [`MetricsAccounting`] per profiling run
+///   and reports its total as `StageTimings::metrics`).
 pub fn measure_object_in(
-    model: &ObjectModel,
-    configs: &[BakeConfig],
-    settings: &MeasurementSettings,
-    cache: Option<&BakeCache>,
-    ground_truth: Option<&crate::ground_truth::GroundTruthCache>,
-) -> Vec<Measurement> {
-    measure_object_accounted(model, configs, settings, cache, ground_truth, None)
-}
-
-/// [`measure_object_in`] with optional wall-clock accounting of the fused
-/// quality-metrics stage (the engine passes one [`MetricsAccounting`] per
-/// profiling run and reports its total as `StageTimings::metrics`).
-pub fn measure_object_accounted(
     model: &ObjectModel,
     configs: &[BakeConfig],
     settings: &MeasurementSettings,
@@ -378,37 +257,16 @@ pub fn measure_object_accounted(
         Some(shared) => shared.get_or_build(model, settings),
         None => std::sync::Arc::new(ObjectGroundTruth::build(model, settings)),
     };
-    match settings.dispatch {
-        DispatchMode::PerSample => {
-            // The sample configurations are independent measurements against
-            // the shared ground truth: fan them out over the worker pool.
-            // Results come back in config order and every measurement is
-            // deterministic (the fused metrics are bit-identical for every
-            // `metrics_workers` count), so any worker count produces
-            // bit-identical output (1 = sequential).
-            let workers = match settings.worker_threads {
-                0 => nerflex_bake::pool::default_workers(configs.len()),
-                n => n,
-            };
-            nerflex_bake::pool::parallel_map(configs.len(), workers, |idx| {
-                ground_truth.measure_in(configs[idx], cache, settings.metrics_workers, accounting)
-            })
-        }
-        DispatchMode::Batched => {
-            measure_batched(&ground_truth, configs, settings, cache, accounting)
-        }
-    }
+    measure_batched(&ground_truth, configs, settings, cache, accounting)
 }
 
 /// The whole-profile batched evaluation: dispatch 1 bakes every sample
 /// configuration, dispatch 2 fans the flattened (configuration × view) grid
 /// with a persistent [`MetricsScratch`] per pool worker, then the per-view
 /// scores are folded per configuration **in view order** — the same
-/// floating-point association as the per-sample loop, so batching never
-/// changes a measurement bit (`1` worker is the bit-for-bit sequential
-/// path). Two dispatches regardless of the profile size, versus one
-/// dispatch per stage plus per-pair metric allocations on the
-/// [`DispatchMode::PerSample`] path.
+/// floating-point association as [`ObjectGroundTruth::measure`], so
+/// batching never changes a measurement bit (`1` worker is the bit-for-bit
+/// sequential path). Two dispatches regardless of the profile size.
 fn measure_batched(
     ground_truth: &ObjectGroundTruth,
     configs: &[BakeConfig],
@@ -419,7 +277,7 @@ fn measure_batched(
     let pool = WorkerPool::shared();
     let placed = &ground_truth.scene.objects()[0];
     let bake_workers = match settings.worker_threads {
-        0 => nerflex_bake::pool::default_workers(configs.len()),
+        0 => default_workers(configs.len()),
         n => n,
     };
     let assets = pool.run(configs.len(), bake_workers, |idx| match cache {
@@ -429,7 +287,7 @@ fn measure_batched(
     let views = ground_truth.poses.len();
     let pairs = configs.len() * views;
     let pair_workers = match settings.worker_threads {
-        0 => nerflex_bake::pool::default_workers(pairs),
+        0 => default_workers(pairs),
         n => n,
     };
     let ssims = pool.run_scratch(pairs, pair_workers, MetricsScratch::new, |scratch, pair| {
@@ -558,43 +416,22 @@ mod tests {
     }
 
     #[test]
-    fn metrics_worker_count_never_changes_measurements() {
-        // The fused tiled metrics reduction is bit-identical for every
-        // worker count, so measurements — and everything fitted from them —
-        // must not depend on `metrics_workers`.
-        let model = CanonicalObject::Hotdog.build();
-        let configs = vec![BakeConfig::new(10, 3), BakeConfig::new(20, 5)];
-        let sequential =
-            measure_object(&model, &configs, &quick_settings().with_metrics_workers(1));
-        for workers in [2, 4, 7, 0] {
-            let parallel =
-                measure_object(&model, &configs, &quick_settings().with_metrics_workers(workers));
-            assert_eq!(sequential, parallel, "metrics_workers={workers}");
-        }
-    }
-
-    #[test]
     fn batched_dispatch_is_bit_identical_for_every_worker_count_and_lane_width() {
-        // The batched whole-profile evaluation must reproduce the per-sample
-        // reference path bit for bit: same configs, every tested worker
-        // count, both lane widths (lane width also reaches the ground-truth
-        // ray marching here). `0` = one worker per core.
+        // The batched whole-profile evaluation must reproduce the plain
+        // per-configuration loop (`ObjectGroundTruth::measure`) bit for bit:
+        // same configs, every tested worker count, both lane widths (lane
+        // width also reaches the ground-truth ray marching here). `0` = one
+        // worker per core.
         let model = CanonicalObject::Hotdog.build();
         let configs = vec![BakeConfig::new(10, 3), BakeConfig::new(16, 5), BakeConfig::new(24, 7)];
-        let reference = measure_object(
-            &model,
-            &configs,
-            &quick_settings().with_dispatch(DispatchMode::PerSample).with_worker_threads(1),
-        );
+        let gt = ObjectGroundTruth::build(&model, &quick_settings());
+        let reference: Vec<Measurement> = configs.iter().map(|&c| gt.measure(c)).collect();
         for workers in [1, 2, 4, 7, 0] {
             for lanes in [LaneWidth::X4, LaneWidth::X8] {
                 let batched = measure_object(
                     &model,
                     &configs,
-                    &quick_settings()
-                        .with_dispatch(DispatchMode::Batched)
-                        .with_worker_threads(workers)
-                        .with_lane_width(lanes),
+                    &quick_settings().with_worker_threads(workers).with_lane_width(lanes),
                 );
                 assert_eq!(reference, batched, "workers={workers} lanes={lanes:?}");
             }
@@ -607,8 +444,7 @@ mod tests {
         let settings = quick_settings();
         let accounting = MetricsAccounting::new();
         let configs = [BakeConfig::new(10, 3), BakeConfig::new(16, 5)];
-        let _ =
-            measure_object_accounted(&model, &configs, &settings, None, None, Some(&accounting));
+        let _ = measure_object_in(&model, &configs, &settings, None, None, Some(&accounting));
         // One metrics evaluation per (config, probe view).
         assert_eq!(accounting.evaluations(), configs.len() * settings.views);
         assert!(accounting.time() > std::time::Duration::ZERO);

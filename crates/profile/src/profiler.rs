@@ -125,44 +125,21 @@ pub fn build_profile(
     object_id: usize,
     options: &ProfilerOptions,
 ) -> ObjectProfile {
-    build_profile_cached(model, object_id, options, None)
+    build_profile_in(model, object_id, options, None, None, None)
 }
 
-/// Builds the profile of one object, routing its sample bakes through a
-/// shared [`BakeCache`] when one is given. The pipeline engine always passes
-/// a cache: every configuration the profiler probes is then already baked if
-/// the selector later picks it.
-pub fn build_profile_cached(
-    model: &ObjectModel,
-    object_id: usize,
-    options: &ProfilerOptions,
-    cache: Option<&BakeCache>,
-) -> ObjectProfile {
-    build_profile_in(model, object_id, options, cache, None)
-}
-
-/// [`build_profile_cached`] with the expensive ray-marched ground truth
-/// additionally routed through a shared
-/// [`GroundTruthCache`](crate::ground_truth::GroundTruthCache): the pipeline
-/// engine passes one per run (persistent when a cache directory is
-/// configured), so duplicate objects and repeated runs render each object's
-/// probe views once. Cached ground truths are bit-identical to fresh ones,
-/// so the resulting profile does not depend on where they came from.
+/// [`build_profile`] wired into the engine's shared state, which the
+/// pipeline always passes: sample bakes go through the shared [`BakeCache`]
+/// (every configuration the profiler probes is then already baked if the
+/// selector later picks it), the ray-marched ground truth through the
+/// shared [`GroundTruthCache`](crate::ground_truth::GroundTruthCache)
+/// (duplicate objects and repeated runs render each object's probe views
+/// once; cached ground truths are bit-identical to fresh ones), and the
+/// fused quality-metrics time into the given
+/// [`MetricsAccounting`](crate::measurement::MetricsAccounting), reported
+/// as the `metrics` stage of the engine's timings. See
+/// [`measure_object_in`](crate::measurement::measure_object_in).
 pub fn build_profile_in(
-    model: &ObjectModel,
-    object_id: usize,
-    options: &ProfilerOptions,
-    cache: Option<&BakeCache>,
-    ground_truth: Option<&crate::ground_truth::GroundTruthCache>,
-) -> ObjectProfile {
-    build_profile_accounted(model, object_id, options, cache, ground_truth, None)
-}
-
-/// [`build_profile_in`] with optional wall-clock accounting of the fused
-/// quality-metrics stage ([`crate::measurement::MetricsAccounting`]); the
-/// pipeline engine passes one per profiling run and reports its total as the
-/// `metrics` stage of its timings.
-pub fn build_profile_accounted(
     model: &ObjectModel,
     object_id: usize,
     options: &ProfilerOptions,
@@ -172,7 +149,7 @@ pub fn build_profile_accounted(
 ) -> ObjectProfile {
     let mut configs = sample_configurations(&options.range);
     configs.extend(splat_sample_configurations(&options.splats));
-    let samples = crate::measurement::measure_object_accounted(
+    let samples = crate::measurement::measure_object_in(
         model,
         &configs,
         &options.measurement,

@@ -51,7 +51,7 @@ fn quick_pipeline_reports_cache_hits_for_profiled_selections() {
 
 #[test]
 fn fleet_deployment_runs_shared_stages_once_and_reuses_bakes() {
-    // Acceptance criterion: deploy_fleet over two devices runs segmentation
+    // Acceptance criterion: try_deploy_fleet over two devices runs segmentation
     // and profiling exactly once; the devices share one bake cache.
     let (scene, dataset) = small_setup();
     let devices = [DeviceSpec::iphone_13(), DeviceSpec::pixel_4()];

@@ -108,7 +108,7 @@ fn cache_limits_thread_through_to_both_pipeline_stores() {
 }
 
 #[test]
-fn ground_truth_workers_never_change_measurements() {
+fn worker_count_never_changes_ground_truth() {
     // End-to-end determinism across the tiled/packet renderer: profiles
     // measured with sequential ground-truth renders and with multi-worker
     // tiled renders are identical to the last bit.
@@ -117,18 +117,16 @@ fn ground_truth_workers_never_change_measurements() {
         views: 2,
         resolution: 40,
         worker_threads: 1,
-        ground_truth_workers: 1,
-        metrics_workers: 1,
         ..MeasurementSettings::default()
     };
     let cache_seq = GroundTruthCache::new();
     let cache_par = GroundTruthCache::new();
     let sequential = cache_seq.get_or_build(&model, &settings);
-    let parallel = cache_par.get_or_build(&model, &settings.with_ground_truth_workers(4));
+    let parallel = cache_par.get_or_build(&model, &settings.with_worker_threads(4));
     assert_eq!(sequential.images, parallel.images, "tiling must be invisible in the output");
 
     let auto = GroundTruthCache::new()
-        .get_or_build(&model, &settings.with_ground_truth_workers(0))
+        .get_or_build(&model, &settings.with_worker_threads(0))
         .images
         .clone();
     assert_eq!(sequential.images, auto);
@@ -136,7 +134,7 @@ fn ground_truth_workers_never_change_measurements() {
 
 #[test]
 fn fleet_deployment_shares_ground_truths_across_devices() {
-    // deploy_fleet profiles once for the whole fleet: the ground-truth cache
+    // try_deploy_fleet profiles once for the whole fleet: the ground-truth cache
     // must render each distinct object exactly once regardless of fleet size.
     let (scene, dataset) = small_setup();
     let devices = [DeviceSpec::iphone_13(), DeviceSpec::pixel_4()];
