@@ -138,9 +138,8 @@ fn per_pair_dispatch(
 
 /// The whole-profile batched dispatch: one persistent-pool dispatch over
 /// the flattened (configuration × view) grid, each worker reusing one
-/// [`MetricsScratch`] across all its jobs, scoring through the 8-wide band
-/// kernel. Returns the scores in pair order plus the pool-dispatch delta
-/// and the buffer allocations paid.
+/// [`MetricsScratch`] across all its jobs. Returns the scores in pair order
+/// plus the pool-dispatch delta and the buffer allocations paid.
 fn batched_dispatch(
     ground_truth: &[Image],
     renders: &[Vec<Image>],
@@ -155,7 +154,7 @@ fn batched_dispatch(
             let ssim = quality_metrics_scratch(
                 &ground_truth[view],
                 &renders[config][view],
-                LaneWidth::X8,
+                LaneWidth::X4,
                 scratch,
             )
             .ssim;

@@ -1,14 +1,14 @@
 //! Criterion benchmark for the deterministic gaussian-splat compositor:
-//! lane width (X4 vs X8) and worker count on the same frame, with the
-//! determinism contract asserted before anything is timed — every
-//! (workers, lanes) combination must produce bit-identical pixels, so the
-//! numbers below are pure throughput differences, never output drift.
+//! one worker against the parallel worker count on the same frame, with the
+//! determinism contract asserted before anything is timed — every worker
+//! count must produce bit-identical pixels, so the numbers below are pure
+//! throughput differences, never output drift.
 //!
 //! Environment variables for the CI `bench-smoke` job:
 //!
 //! * `NERFLEX_BENCH_SMOKE` — shrink criterion sample counts.
-//! * `NERFLEX_BENCH_JSON` — write mean frame times and the X8-over-X4
-//!   speedup to the given path (uploaded as a CI artifact).
+//! * `NERFLEX_BENCH_JSON` — write the mean serial and parallel frame times
+//!   and the worker speedup to the given path (uploaded as a CI artifact).
 //! * `NERFLEX_WORKERS` — override the parallel worker count.
 //!
 //! The `bench-splat:` line printed at the end is stable and parseable.
@@ -17,7 +17,6 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use nerflex_bake::{bake_object, BakeConfig, BakedAsset};
 use nerflex_bench::JsonReport;
 use nerflex_math::pool::env_workers;
-use nerflex_math::LaneWidth;
 use nerflex_render::{render_assets, RenderOptions};
 use nerflex_scene::camera_path::{orbit_path, CameraPose};
 use nerflex_scene::object::CanonicalObject;
@@ -56,14 +55,8 @@ fn fixture() -> (BakedAsset, CameraPose) {
     (asset, pose)
 }
 
-fn render(
-    asset: &BakedAsset,
-    pose: &CameraPose,
-    workers: usize,
-    lanes: LaneWidth,
-) -> nerflex_image::Image {
-    let options =
-        RenderOptions { splat_workers: workers, splat_lanes: lanes, ..RenderOptions::default() };
+fn render(asset: &BakedAsset, pose: &CameraPose, workers: usize) -> nerflex_image::Image {
+    let options = RenderOptions { splat_workers: workers, ..RenderOptions::default() };
     render_assets(std::slice::from_ref(asset), pose, RES, RES, &options).0
 }
 
@@ -72,60 +65,47 @@ fn bench_splat(c: &mut Criterion) {
     let workers = workers();
     let splats = asset.splats.as_ref().expect("splat-family asset").len();
 
-    // The determinism contract, asserted before timing: worker and lane
-    // counts never change output bits (docs/determinism.md).
-    let reference = render(&asset, &pose, 1, LaneWidth::X4);
+    // The determinism contract, asserted before timing: worker counts never
+    // change output bits (docs/determinism.md).
+    let reference = render(&asset, &pose, 1);
     for w in [1, workers, 0] {
-        for lanes in [LaneWidth::X4, LaneWidth::X8] {
-            let img = render(&asset, &pose, w, lanes);
-            assert!(
-                reference.pixels().iter().zip(img.pixels()).all(|(a, b)| {
-                    a.r.to_bits() == b.r.to_bits()
-                        && a.g.to_bits() == b.g.to_bits()
-                        && a.b.to_bits() == b.b.to_bits()
-                }),
-                "bits changed at workers={w}, lanes={lanes:?}"
-            );
-        }
+        let img = render(&asset, &pose, w);
+        assert!(
+            reference.pixels().iter().zip(img.pixels()).all(|(a, b)| {
+                a.r.to_bits() == b.r.to_bits()
+                    && a.g.to_bits() == b.g.to_bits()
+                    && a.b.to_bits() == b.b.to_bits()
+            }),
+            "bits changed at workers={w}"
+        );
     }
 
-    let mut x4_serial = Duration::ZERO;
-    let mut x8_serial = Duration::ZERO;
-    let mut x8_parallel = Duration::ZERO;
+    let mut serial = Duration::ZERO;
+    let mut parallel = Duration::ZERO;
 
     let mut group = c.benchmark_group("splat");
     group.sample_size(samples(10));
-    group.bench_function(format!("composite_{splats}splats_x4_1worker"), |bench| {
-        bench.iter(|| render(&asset, &pose, 1, LaneWidth::X4).pixels().len());
-        x4_serial = bench.mean;
+    group.bench_function(format!("composite_{splats}splats_1worker"), |bench| {
+        bench.iter(|| render(&asset, &pose, 1).pixels().len());
+        serial = bench.mean;
     });
-    group.bench_function(format!("composite_{splats}splats_x8_1worker"), |bench| {
-        bench.iter(|| render(&asset, &pose, 1, LaneWidth::X8).pixels().len());
-        x8_serial = bench.mean;
-    });
-    group.bench_function(format!("composite_{splats}splats_x8_{workers}workers"), |bench| {
-        bench.iter(|| render(&asset, &pose, workers, LaneWidth::X8).pixels().len());
-        x8_parallel = bench.mean;
+    group.bench_function(format!("composite_{splats}splats_{workers}workers"), |bench| {
+        bench.iter(|| render(&asset, &pose, workers).pixels().len());
+        parallel = bench.mean;
     });
     group.finish();
 
-    let lane_speedup = if x8_serial.as_secs_f64() > 0.0 {
-        x4_serial.as_secs_f64() / x8_serial.as_secs_f64()
-    } else {
-        1.0
-    };
-    let worker_speedup = if x8_parallel.as_secs_f64() > 0.0 {
-        x8_serial.as_secs_f64() / x8_parallel.as_secs_f64()
+    let worker_speedup = if parallel.as_secs_f64() > 0.0 {
+        serial.as_secs_f64() / parallel.as_secs_f64()
     } else {
         1.0
     };
     // Stable, machine-readable summary parsed/archived by the CI job.
     println!(
-        "bench-splat: splats={splats} res={RES} workers={workers} x4_ms={:.3} x8_ms={:.3} \
-         x8_parallel_ms={:.3} lane_speedup={lane_speedup:.2} worker_speedup={worker_speedup:.2}",
-        x4_serial.as_secs_f64() * 1e3,
-        x8_serial.as_secs_f64() * 1e3,
-        x8_parallel.as_secs_f64() * 1e3,
+        "bench-splat: splats={splats} res={RES} workers={workers} serial_ms={:.3} \
+         parallel_ms={:.3} worker_speedup={worker_speedup:.2}",
+        serial.as_secs_f64() * 1e3,
+        parallel.as_secs_f64() * 1e3,
     );
     if let Some(path) = std::env::var_os("NERFLEX_BENCH_JSON") {
         let path = std::path::PathBuf::from(path);
@@ -136,10 +116,8 @@ fn bench_splat(c: &mut Criterion) {
             .int_field("splats", splats as u64)
             .int_field("resolution", RES as u64)
             .int_field("workers", workers as u64)
-            .float_field("x4_ms", x4_serial.as_secs_f64() * 1e3)
-            .float_field("x8_ms", x8_serial.as_secs_f64() * 1e3)
-            .float_field("x8_parallel_ms", x8_parallel.as_secs_f64() * 1e3)
-            .float_field("lane_speedup", lane_speedup)
+            .float_field("serial_ms", serial.as_secs_f64() * 1e3)
+            .float_field("parallel_ms", parallel.as_secs_f64() * 1e3)
             .float_field("worker_speedup", worker_speedup);
         match report.write(&path) {
             Ok(()) => println!("wrote {}", path.display()),

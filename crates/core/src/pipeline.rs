@@ -688,7 +688,7 @@ impl NerflexPipeline {
                 profiling_workers: workers,
                 profiling_sample_workers: sample_workers,
                 ground_truth: ground_truth.build_time() - gt_time_before,
-                ground_truth_builds: gt_stats.builds - gt_before.builds,
+                ground_truth_builds: gt_stats.misses - gt_before.misses,
                 ground_truth_hits: (gt_stats.hits + gt_stats.disk_hits)
                     - (gt_before.hits + gt_before.disk_hits),
                 metrics: metrics_accounting.time(),

@@ -55,10 +55,10 @@ use crate::clock::{Clock, WallClock};
 use crate::pipeline::{
     NerflexDeployment, NerflexPipeline, PipelineError, PipelineOptions, SharedStages,
 };
-use nerflex_bake::{model_fingerprint, BakeCache, CacheStats, Fnv1a};
+use nerflex_bake::{model_fingerprint, BakeCache, CacheStats, Fnv1a, StoreStats};
 use nerflex_device::DeviceSpec;
 use nerflex_math::WorkerPool;
-use nerflex_profile::{GroundTruthCache, GroundTruthStats, ObjectProfile};
+use nerflex_profile::{GroundTruthCache, ObjectProfile};
 use nerflex_scene::dataset::Dataset;
 use nerflex_scene::scene::Scene;
 use nerflex_seg::SegmentationResult;
@@ -1286,7 +1286,7 @@ impl DeployService {
     }
 
     /// Counters of the service-owned ground-truth cache.
-    pub fn ground_truth_stats(&self) -> GroundTruthStats {
+    pub fn ground_truth_stats(&self) -> StoreStats {
         self.shared.ground_truth.stats()
     }
 

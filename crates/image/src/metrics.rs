@@ -22,14 +22,10 @@
 //!   sequential, the partials come back in job order and the reduction tree
 //!   depends only on the tile count — so the results are **bit-identical for
 //!   every worker count** (asserted by tests over odd sizes and 1/2/4/7
-//!   workers; see `docs/determinism.md`).
-//! * [`quality_metrics_lanes`] additionally selects the band kernel's lane
-//!   width ([`LaneWidth`]): the 8-wide kernel updates eight independent
-//!   per-column accumulation chains per step, which changes no op order
-//!   within any chain, so lane width never changes a single output bit
-//!   either. Per-worker [`MetricsScratch`] buffers (luminance planes and
-//!   column sums) persist across tiles and across calls via the pool's
-//!   per-worker scratch, so repeated scoring allocates nothing.
+//!   workers; see `docs/determinism.md`). Per-worker [`MetricsScratch`]
+//!   buffers (luminance planes and column sums) persist across tiles and
+//!   across calls via the pool's per-worker scratch, so repeated scoring
+//!   allocates nothing.
 //!
 //! Reduction-order note: the fused SSIM accumulates window terms per tile
 //! and reduces tiles pairwise, and its window statistics sum column-first.
@@ -43,7 +39,7 @@
 
 use crate::image::Image;
 use nerflex_math::pool::{default_workers, tree_reduce, WorkerPool};
-use nerflex_math::simd::{LaneWidth, LANES8};
+use nerflex_math::simd::LaneWidth;
 
 /// SSIM stabilisation constant `C1 = (0.01)²` for signals in `[0, 1]`.
 const C1: f64 = 0.01 * 0.01;
@@ -139,34 +135,14 @@ pub fn quality_metrics(a: &Image, b: &Image) -> QualityMetrics {
 /// (`0` = one per core, `1` = the sequential path). The tile layout, the
 /// per-tile accumulation order and the pairwise reduction tree are all fixed
 /// by the image size alone, so the result is **bit-identical for every
-/// worker count**.
+/// worker count**. Each pool worker keeps a persistent [`MetricsScratch`], so
+/// steady-state scoring does not allocate.
 ///
 /// # Panics
 ///
 /// Panics when the images differ in size or are smaller than the 8×8 SSIM
 /// window.
 pub fn quality_metrics_parallel(a: &Image, b: &Image, workers: usize) -> QualityMetrics {
-    quality_metrics_lanes(a, b, workers, LaneWidth::X4)
-}
-
-/// [`quality_metrics_parallel`] with an explicit band-kernel lane width.
-///
-/// The 8-wide kernel steps eight per-column accumulation chains at a time;
-/// every chain keeps its scalar op order, so the lane width — like the
-/// worker count — never changes a single output bit. Each pool worker keeps
-/// a persistent [`MetricsScratch`], so steady-state scoring does not
-/// allocate.
-///
-/// # Panics
-///
-/// Panics when the images differ in size or are smaller than the 8×8 SSIM
-/// window.
-pub fn quality_metrics_lanes(
-    a: &Image,
-    b: &Image,
-    workers: usize,
-    lane_width: LaneWidth,
-) -> QualityMetrics {
     assert_dims(a, b);
     assert!(SSIM_WINDOW <= a.width() && SSIM_WINDOW <= a.height(), "SSIM window larger than image");
     let jobs = a.height().div_ceil(TILE_ROWS);
@@ -176,7 +152,7 @@ pub fn quality_metrics_lanes(
     };
     let partials =
         WorkerPool::shared().run_scratch(jobs, workers, MetricsScratch::new, |scratch, job| {
-            tile_partial(a, b, job, lane_width, scratch)
+            tile_partial(a, b, job, scratch)
         });
     finish_metrics(a, partials)
 }
@@ -186,7 +162,8 @@ pub fn quality_metrics_lanes(
 /// `scratch` and are reused across calls. This is the entry the batched
 /// profile-measurement dispatch scores through — one scratch per pool
 /// worker, zero steady-state allocations ([`MetricsScratch::allocations`]
-/// counts buffer growth, so the reuse is measurable).
+/// counts buffer growth, so the reuse is measurable). [`LaneWidth`] has a
+/// single value, so the lane-width argument changes nothing.
 ///
 /// # Panics
 ///
@@ -195,26 +172,20 @@ pub fn quality_metrics_lanes(
 pub fn quality_metrics_scratch(
     a: &Image,
     b: &Image,
-    lane_width: LaneWidth,
+    _lane_width: LaneWidth,
     scratch: &mut MetricsScratch,
 ) -> QualityMetrics {
     assert_dims(a, b);
     assert!(SSIM_WINDOW <= a.width() && SSIM_WINDOW <= a.height(), "SSIM window larger than image");
     let jobs = a.height().div_ceil(TILE_ROWS);
-    let partials = (0..jobs).map(|job| tile_partial(a, b, job, lane_width, scratch)).collect();
+    let partials = (0..jobs).map(|job| tile_partial(a, b, job, scratch)).collect();
     finish_metrics(a, partials)
 }
 
 /// One row tile's fused partial: squared error plus the SSIM bands whose
 /// window top lies in the tile. Shared by the pooled and the caller-scratch
 /// entries, so the two are bit-identical by construction.
-fn tile_partial(
-    a: &Image,
-    b: &Image,
-    job: usize,
-    lane_width: LaneWidth,
-    scratch: &mut MetricsScratch,
-) -> TilePartial {
+fn tile_partial(a: &Image, b: &Image, job: usize, scratch: &mut MetricsScratch) -> TilePartial {
     let width = a.width();
     let height = a.height();
     let y0 = job * TILE_ROWS;
@@ -250,7 +221,6 @@ fn tile_partial(
                 SSIM_WINDOW,
                 SSIM_STRIDE,
                 &mut scratch.cols,
-                lane_width,
                 |_| true,
             );
             ssim += band_sum;
@@ -305,7 +275,7 @@ pub fn ssim_windowed(a: &Image, b: &Image, window: usize, stride: usize) -> f64 
     let mut y = 0;
     while y + window <= a.height() {
         let (band_sum, band_windows) =
-            ssim_band(&la, &lb, width, y, window, stride, &mut cols, LaneWidth::X4, |_| true);
+            ssim_band(&la, &lb, width, y, window, stride, &mut cols, |_| true);
         total += band_sum;
         count += band_windows;
         y += stride;
@@ -414,11 +384,6 @@ impl ColumnSums {
 /// sums of the five window statistics, then each kept window sums its
 /// `window` columns. Column-first accumulation is the documented
 /// deterministic reduction order of the fused SSIM.
-///
-/// `lane_width` picks the column-sum kernel: the 4-wide reference walks one
-/// column per step; the 8-wide kernel steps [`LANES8`] independent column
-/// chains at a time (plus a scalar tail). No chain's op order changes, so
-/// both kernels produce bitwise-equal sums.
 #[allow(clippy::too_many_arguments)]
 fn ssim_band(
     la: &[f64],
@@ -428,56 +393,19 @@ fn ssim_band(
     window: usize,
     stride: usize,
     cols: &mut ColumnSums,
-    lane_width: LaneWidth,
     mut keep: impl FnMut(usize) -> bool,
 ) -> (f64, usize) {
     cols.reset();
-    match lane_width {
-        LaneWidth::X4 => {
-            for wy in 0..window {
-                let row = (top + wy) * width;
-                for x in 0..width {
-                    let va = la[row + x];
-                    let vb = lb[row + x];
-                    cols.a[x] += va;
-                    cols.b[x] += vb;
-                    cols.aa[x] += va * va;
-                    cols.bb[x] += vb * vb;
-                    cols.ab[x] += va * vb;
-                }
-            }
-        }
-        LaneWidth::X8 => {
-            let blocked = width - width % LANES8;
-            for wy in 0..window {
-                let row = (top + wy) * width;
-                let mut x = 0;
-                while x < blocked {
-                    // Eight independent column chains per step; each chain
-                    // keeps the reference kernel's op order, so the blocking
-                    // is bit-identical.
-                    let va: [f64; LANES8] = std::array::from_fn(|l| la[row + x + l]);
-                    let vb: [f64; LANES8] = std::array::from_fn(|l| lb[row + x + l]);
-                    for l in 0..LANES8 {
-                        cols.a[x + l] += va[l];
-                        cols.b[x + l] += vb[l];
-                        cols.aa[x + l] += va[l] * va[l];
-                        cols.bb[x + l] += vb[l] * vb[l];
-                        cols.ab[x + l] += va[l] * vb[l];
-                    }
-                    x += LANES8;
-                }
-                while x < width {
-                    let va = la[row + x];
-                    let vb = lb[row + x];
-                    cols.a[x] += va;
-                    cols.b[x] += vb;
-                    cols.aa[x] += va * va;
-                    cols.bb[x] += vb * vb;
-                    cols.ab[x] += va * vb;
-                    x += 1;
-                }
-            }
+    for wy in 0..window {
+        let row = (top + wy) * width;
+        for x in 0..width {
+            let va = la[row + x];
+            let vb = lb[row + x];
+            cols.a[x] += va;
+            cols.b[x] += vb;
+            cols.aa[x] += va * va;
+            cols.bb[x] += vb * vb;
+            cols.ab[x] += va * vb;
         }
     }
     let n = (window * window) as f64;
@@ -556,7 +484,7 @@ pub fn ssim_masked(a: &Image, b: &Image, mask: &crate::mask::Mask) -> f64 {
         let keep = |x: usize| mask.get(x + window / 2, y + window / 2);
         if (0..=width - window).step_by(stride).any(keep) {
             let (band_sum, band_windows) =
-                ssim_band(&la, &lb, width, y, window, stride, &mut cols, LaneWidth::X4, keep);
+                ssim_band(&la, &lb, width, y, window, stride, &mut cols, keep);
             total += band_sum;
             count += band_windows;
         }
@@ -808,31 +736,6 @@ mod tests {
     }
 
     #[test]
-    fn wide_lanes_never_change_metric_bits() {
-        // The lane-width arm of the determinism contract: the 8-wide band
-        // kernel must agree bit for bit with the 4-wide reference on every
-        // size (including widths with a scalar tail and widths below one
-        // 8-lane block) and every worker count.
-        for (w, h) in [(64, 64), (61, 45), (128, 37), (9, 97)] {
-            let a = Image::from_fn(w, h, |x, y| {
-                Color::new(
-                    0.5 + 0.4 * ((x * 3 + y) as f32 * 0.11).sin(),
-                    0.5 + 0.3 * ((x + 2 * y) as f32 * 0.07).cos(),
-                    ((x * y) % 17) as f32 / 17.0,
-                )
-            });
-            let b = noisy(&a, 0.15);
-            let reference = quality_metrics_lanes(&a, &b, 1, LaneWidth::X4);
-            for workers in [1, 2, 4, 7, 0] {
-                let got = quality_metrics_lanes(&a, &b, workers, LaneWidth::X8);
-                assert_eq!(got.mse.to_bits(), reference.mse.to_bits(), "mse {w}x{h} w{workers}");
-                assert_eq!(got.psnr.to_bits(), reference.psnr.to_bits(), "psnr {w}x{h} w{workers}");
-                assert_eq!(got.ssim.to_bits(), reference.ssim.to_bits(), "ssim {w}x{h} w{workers}");
-            }
-        }
-    }
-
-    #[test]
     fn scratch_path_is_bit_identical_and_stops_allocating() {
         let pairs: Vec<(Image, Image)> = [(64, 64), (61, 45), (128, 37), (9, 97)]
             .into_iter()
@@ -846,20 +749,18 @@ mod tests {
             .collect();
         let mut scratch = MetricsScratch::new();
         for (a, b) in &pairs {
-            for lanes in [LaneWidth::X4, LaneWidth::X8] {
-                let got = quality_metrics_scratch(a, b, lanes, &mut scratch);
-                let want = quality_metrics_parallel(a, b, 1);
-                assert_eq!(got.mse.to_bits(), want.mse.to_bits());
-                assert_eq!(got.psnr.to_bits(), want.psnr.to_bits());
-                assert_eq!(got.ssim.to_bits(), want.ssim.to_bits());
-            }
+            let got = quality_metrics_scratch(a, b, LaneWidth::X4, &mut scratch);
+            let want = quality_metrics_parallel(a, b, 1);
+            assert_eq!(got.mse.to_bits(), want.mse.to_bits());
+            assert_eq!(got.psnr.to_bits(), want.psnr.to_bits());
+            assert_eq!(got.ssim.to_bits(), want.ssim.to_bits());
         }
         // Every buffer has seen the largest tile by now: re-scoring the
         // whole set must reuse them all without a single new allocation.
         let before = scratch.allocations();
         assert!(before > 0, "first passes must have grown the buffers");
         for (a, b) in &pairs {
-            let _ = quality_metrics_scratch(a, b, LaneWidth::X8, &mut scratch);
+            let _ = quality_metrics_scratch(a, b, LaneWidth::X4, &mut scratch);
         }
         assert_eq!(scratch.allocations(), before, "steady-state scoring must not allocate");
     }

@@ -40,7 +40,7 @@ pub use aabb::Aabb;
 pub use mat::{Mat3, Mat4};
 pub use pool::{PoolStats, WorkerPool};
 pub use ray::Ray;
-pub use simd::{F32x4, F32x8, LaneWidth, Mask4, Mask8, Vec3x4, Vec3x8};
+pub use simd::{F32x4, LaneWidth, Mask4, Vec3x4};
 pub use vec::{Vec2, Vec3, Vec4};
 
 /// Clamps `x` into `[lo, hi]`.

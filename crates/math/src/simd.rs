@@ -1,12 +1,12 @@
-//! SIMD-friendly lanes: the four-wide [`F32x4`] / [`Vec3x4`] reference
-//! packet and its eight-wide mirror [`F32x8`] / [`Vec3x8`], selected at the
-//! call sites through [`LaneWidth`].
+//! SIMD-friendly lanes: the four-wide [`F32x4`] / [`Mask4`] / [`Vec3x4`]
+//! packet every lane kernel runs on.
 //!
-//! The ray marcher sphere-traces four or eight rays per packet; the SDF
-//! trees and the AABB rejection tests evaluate all lanes at once through
-//! these types. They are plain arrays with per-lane arithmetic — no
-//! intrinsics — so the code is portable and the autovectoriser packs the
-//! lane loops into SSE/AVX/NEON registers where available.
+//! The ray marcher sphere-traces four rays per packet; the SDF trees, the
+//! AABB rejection tests, the fused metrics bands and the splat compositor
+//! evaluate all four lanes at once through these types. They are plain
+//! arrays with per-lane arithmetic — no intrinsics — so the code is portable
+//! and the autovectoriser packs the lane loops into SSE/NEON registers where
+//! available.
 //!
 //! # Determinism contract
 //!
@@ -16,9 +16,9 @@
 //! in exactly the association order of their scalar counterparts in
 //! [`crate::vec`]. IEEE-754 basic operations are exactly rounded, so a lane
 //! computation is **bit-identical** to running the scalar code on that lane's
-//! input — which is what lets the packet ray marcher guarantee bit-identical
-//! images for any lane count. Tests in `nerflex-scene` assert this end to
-//! end; do not introduce `mul_add` or reassociation here.
+//! input — which is what lets the packet ray marcher guarantee images
+//! bit-identical to the scalar path. Tests in `nerflex-scene` assert this end
+//! to end; do not introduce `mul_add` or reassociation here.
 //!
 //! The repo-wide lane/tile/reduction-order contract — covering these lanes,
 //! the worker-pool tiling and the fixed-shape tree reductions — is stated in
@@ -26,34 +26,18 @@
 
 use crate::vec::Vec3;
 
-/// Number of lanes in a reference (four-wide) packet.
+/// Number of lanes in a packet.
 pub const LANES: usize = 4;
 
-/// Number of lanes in a wide (eight-wide) packet.
-pub const LANES8: usize = 8;
-
-/// Packet width knob for the lane-selectable code paths (ray marching, the
-/// fused metrics bands). Widths never change output bits — every lane is
-/// the exact scalar computation — so this is purely a throughput choice;
-/// the four-wide path is the reference implementation.
+/// Packet width of the lane kernels. Every kernel runs four lanes
+/// ([`LANES`]), so this has one value; the type stays only because callers
+/// outside the workspace pass `MeasurementSettings::lane_width` through to
+/// the metrics entry point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum LaneWidth {
-    /// Four lanes per packet (the reference path).
+    /// Four lanes per packet.
     #[default]
     X4,
-    /// Eight lanes per packet (the wavefront layout staged for a GPU
-    /// backend).
-    X8,
-}
-
-impl LaneWidth {
-    /// Lanes per packet.
-    pub const fn lanes(self) -> usize {
-        match self {
-            Self::X4 => LANES,
-            Self::X8 => LANES8,
-        }
-    }
 }
 
 /// Four `f32` lanes with component-wise arithmetic.
@@ -425,432 +409,6 @@ impl std::ops::Div<f32> for Vec3x4 {
     }
 }
 
-/// Eight `f32` lanes with component-wise arithmetic — the wide mirror of
-/// [`F32x4`], under the same per-lane determinism contract.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct F32x8(pub [f32; 8]);
-
-macro_rules! lanes8 {
-    ($f:expr) => {{
-        let f = $f;
-        F32x8(std::array::from_fn(f))
-    }};
-}
-
-macro_rules! mask8 {
-    ($f:expr) => {{
-        let f = $f;
-        Mask8(std::array::from_fn(f))
-    }};
-}
-
-impl F32x8 {
-    /// All lanes zero.
-    pub const ZERO: Self = Self::splat(0.0);
-
-    /// Broadcasts one value to every lane.
-    pub const fn splat(v: f32) -> Self {
-        Self([v; 8])
-    }
-
-    /// Builds from eight lane values.
-    pub const fn new(v: [f32; 8]) -> Self {
-        Self(v)
-    }
-
-    /// Concatenates two four-wide packets (`lo` fills lanes 0–3).
-    #[inline]
-    pub fn from_halves(lo: F32x4, hi: F32x4) -> Self {
-        Self(std::array::from_fn(|i| if i < 4 { lo.lane(i) } else { hi.lane(i - 4) }))
-    }
-
-    /// Splits into the two four-wide halves (lanes 0–3, lanes 4–7).
-    #[inline]
-    pub fn halves(self) -> (F32x4, F32x4) {
-        (
-            F32x4::new(self.0[0], self.0[1], self.0[2], self.0[3]),
-            F32x4::new(self.0[4], self.0[5], self.0[6], self.0[7]),
-        )
-    }
-
-    /// The value in `lane`.
-    #[inline]
-    pub fn lane(self, lane: usize) -> f32 {
-        self.0[lane]
-    }
-
-    /// Replaces the value in `lane`.
-    #[inline]
-    pub fn set_lane(&mut self, lane: usize, v: f32) {
-        self.0[lane] = v;
-    }
-
-    /// Per-lane `f32::min` (identical to the scalar call lane by lane).
-    #[inline]
-    pub fn min(self, o: Self) -> Self {
-        lanes8!(|i: usize| self.0[i].min(o.0[i]))
-    }
-
-    /// Per-lane `f32::max`.
-    #[inline]
-    pub fn max(self, o: Self) -> Self {
-        lanes8!(|i: usize| self.0[i].max(o.0[i]))
-    }
-
-    /// Per-lane absolute value.
-    #[inline]
-    pub fn abs(self) -> Self {
-        lanes8!(|i: usize| self.0[i].abs())
-    }
-
-    /// Per-lane square root.
-    #[inline]
-    pub fn sqrt(self) -> Self {
-        lanes8!(|i: usize| self.0[i].sqrt())
-    }
-
-    /// Per-lane sine.
-    #[inline]
-    pub fn sin(self) -> Self {
-        lanes8!(|i: usize| self.0[i].sin())
-    }
-
-    /// Per-lane `f32::clamp` (callers guarantee `lo <= hi`).
-    #[inline]
-    pub fn clamp(self, lo: f32, hi: f32) -> Self {
-        lanes8!(|i: usize| self.0[i].clamp(lo, hi))
-    }
-
-    /// Per-lane `self < o`.
-    #[inline]
-    pub fn lt(self, o: Self) -> Mask8 {
-        mask8!(|i: usize| self.0[i] < o.0[i])
-    }
-
-    /// Per-lane `self <= o`.
-    #[inline]
-    pub fn le(self, o: Self) -> Mask8 {
-        mask8!(|i: usize| self.0[i] <= o.0[i])
-    }
-
-    /// Per-lane `self > o`.
-    #[inline]
-    pub fn gt(self, o: Self) -> Mask8 {
-        mask8!(|i: usize| self.0[i] > o.0[i])
-    }
-
-    /// Per-lane selection: `mask ? self : other`.
-    #[inline]
-    pub fn select(self, other: Self, mask: Mask8) -> Self {
-        lanes8!(|i: usize| if mask.0[i] { self.0[i] } else { other.0[i] })
-    }
-}
-
-impl std::ops::Add for F32x8 {
-    type Output = Self;
-    #[inline]
-    fn add(self, o: Self) -> Self {
-        lanes8!(|i: usize| self.0[i] + o.0[i])
-    }
-}
-
-impl std::ops::Sub for F32x8 {
-    type Output = Self;
-    #[inline]
-    fn sub(self, o: Self) -> Self {
-        lanes8!(|i: usize| self.0[i] - o.0[i])
-    }
-}
-
-impl std::ops::Mul for F32x8 {
-    type Output = Self;
-    #[inline]
-    fn mul(self, o: Self) -> Self {
-        lanes8!(|i: usize| self.0[i] * o.0[i])
-    }
-}
-
-impl std::ops::Div for F32x8 {
-    type Output = Self;
-    #[inline]
-    fn div(self, o: Self) -> Self {
-        lanes8!(|i: usize| self.0[i] / o.0[i])
-    }
-}
-
-impl std::ops::Neg for F32x8 {
-    type Output = Self;
-    #[inline]
-    fn neg(self) -> Self {
-        lanes8!(|i: usize| -self.0[i])
-    }
-}
-
-impl std::ops::Add<f32> for F32x8 {
-    type Output = Self;
-    #[inline]
-    fn add(self, s: f32) -> Self {
-        lanes8!(|i: usize| self.0[i] + s)
-    }
-}
-
-impl std::ops::Sub<f32> for F32x8 {
-    type Output = Self;
-    #[inline]
-    fn sub(self, s: f32) -> Self {
-        lanes8!(|i: usize| self.0[i] - s)
-    }
-}
-
-impl std::ops::Mul<f32> for F32x8 {
-    type Output = Self;
-    #[inline]
-    fn mul(self, s: f32) -> Self {
-        lanes8!(|i: usize| self.0[i] * s)
-    }
-}
-
-impl std::ops::Div<f32> for F32x8 {
-    type Output = Self;
-    #[inline]
-    fn div(self, s: f32) -> Self {
-        lanes8!(|i: usize| self.0[i] / s)
-    }
-}
-
-/// Eight boolean lanes (comparison results, active-ray masks).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Mask8(pub [bool; 8]);
-
-impl Mask8 {
-    /// All lanes set.
-    pub const ALL: Self = Self([true; 8]);
-    /// No lane set.
-    pub const NONE: Self = Self([false; 8]);
-
-    /// Concatenates two four-wide masks (`lo` fills lanes 0–3).
-    #[inline]
-    pub fn from_halves(lo: Mask4, hi: Mask4) -> Self {
-        Self(std::array::from_fn(|i| if i < 4 { lo.lane(i) } else { hi.lane(i - 4) }))
-    }
-
-    /// Splits into the two four-wide halves (lanes 0–3, lanes 4–7).
-    #[inline]
-    pub fn halves(self) -> (Mask4, Mask4) {
-        (
-            Mask4([self.0[0], self.0[1], self.0[2], self.0[3]]),
-            Mask4([self.0[4], self.0[5], self.0[6], self.0[7]]),
-        )
-    }
-
-    /// `true` when any lane is set.
-    #[inline]
-    pub fn any(self) -> bool {
-        self.0.iter().any(|&b| b)
-    }
-
-    /// Lane-wise AND.
-    #[inline]
-    pub fn and(self, o: Self) -> Self {
-        mask8!(|i: usize| self.0[i] && o.0[i])
-    }
-
-    /// Lane-wise OR.
-    #[inline]
-    pub fn or(self, o: Self) -> Self {
-        mask8!(|i: usize| self.0[i] || o.0[i])
-    }
-
-    /// The value in `lane`.
-    #[inline]
-    pub fn lane(self, lane: usize) -> bool {
-        self.0[lane]
-    }
-}
-
-impl std::ops::Not for Mask8 {
-    type Output = Self;
-    /// Lane-wise NOT.
-    #[inline]
-    fn not(self) -> Self {
-        mask8!(|i: usize| !self.0[i])
-    }
-}
-
-/// Eight 3-D vectors in structure-of-arrays layout.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Vec3x8 {
-    /// X components of the eight lanes.
-    pub x: F32x8,
-    /// Y components of the eight lanes.
-    pub y: F32x8,
-    /// Z components of the eight lanes.
-    pub z: F32x8,
-}
-
-impl Vec3x8 {
-    /// Builds from per-axis lanes.
-    pub const fn new(x: F32x8, y: F32x8, z: F32x8) -> Self {
-        Self { x, y, z }
-    }
-
-    /// Broadcasts one vector to every lane.
-    pub const fn splat(v: Vec3) -> Self {
-        Self { x: F32x8::splat(v.x), y: F32x8::splat(v.y), z: F32x8::splat(v.z) }
-    }
-
-    /// Packs eight vectors into lanes.
-    pub fn from_lanes(v: [Vec3; 8]) -> Self {
-        Self {
-            x: F32x8(std::array::from_fn(|i| v[i].x)),
-            y: F32x8(std::array::from_fn(|i| v[i].y)),
-            z: F32x8(std::array::from_fn(|i| v[i].z)),
-        }
-    }
-
-    /// Concatenates two four-wide packets (`lo` fills lanes 0–3).
-    #[inline]
-    pub fn from_halves(lo: Vec3x4, hi: Vec3x4) -> Self {
-        Self {
-            x: F32x8::from_halves(lo.x, hi.x),
-            y: F32x8::from_halves(lo.y, hi.y),
-            z: F32x8::from_halves(lo.z, hi.z),
-        }
-    }
-
-    /// Splits into the two four-wide halves (lanes 0–3, lanes 4–7).
-    #[inline]
-    pub fn halves(self) -> (Vec3x4, Vec3x4) {
-        let (xl, xh) = self.x.halves();
-        let (yl, yh) = self.y.halves();
-        let (zl, zh) = self.z.halves();
-        (Vec3x4::new(xl, yl, zl), Vec3x4::new(xh, yh, zh))
-    }
-
-    /// The vector in `lane`.
-    #[inline]
-    pub fn lane(self, lane: usize) -> Vec3 {
-        Vec3::new(self.x.lane(lane), self.y.lane(lane), self.z.lane(lane))
-    }
-
-    /// Component-wise minimum with a uniform vector.
-    #[inline]
-    pub fn min_vec(self, o: Vec3) -> Self {
-        Self {
-            x: self.x.min(F32x8::splat(o.x)),
-            y: self.y.min(F32x8::splat(o.y)),
-            z: self.z.min(F32x8::splat(o.z)),
-        }
-    }
-
-    /// Component-wise maximum with a uniform vector.
-    #[inline]
-    pub fn max_vec(self, o: Vec3) -> Self {
-        Self {
-            x: self.x.max(F32x8::splat(o.x)),
-            y: self.y.max(F32x8::splat(o.y)),
-            z: self.z.max(F32x8::splat(o.z)),
-        }
-    }
-
-    /// Component-wise maximum with another packet.
-    #[inline]
-    pub fn max(self, o: Self) -> Self {
-        Self { x: self.x.max(o.x), y: self.y.max(o.y), z: self.z.max(o.z) }
-    }
-
-    /// Component-wise absolute value.
-    #[inline]
-    pub fn abs(self) -> Self {
-        Self { x: self.x.abs(), y: self.y.abs(), z: self.z.abs() }
-    }
-
-    /// Dot product, evaluated in the exact association order of
-    /// [`Vec3::dot`] (`0.0 + x·x + y·y + z·z`) so each lane matches the
-    /// scalar result bit for bit.
-    #[inline]
-    pub fn dot(self, o: Self) -> F32x8 {
-        ((F32x8::ZERO + self.x * o.x) + self.y * o.y) + self.z * o.z
-    }
-
-    /// Euclidean length (`dot(self, self).sqrt()`, as in [`Vec3::length`]).
-    #[inline]
-    pub fn length(self) -> F32x8 {
-        self.dot(self).sqrt()
-    }
-
-    /// Largest component per lane, folded in the order of
-    /// [`Vec3::max_component`].
-    #[inline]
-    pub fn max_component(self) -> F32x8 {
-        F32x8::splat(f32::NEG_INFINITY).max(self.x).max(self.y).max(self.z)
-    }
-
-    /// Per-lane unit vector, mirroring [`Vec3::normalized`] operation for
-    /// operation: lanes whose length exceeds `1e-12` are divided by it, the
-    /// rest pass through unchanged — so each lane is bit-identical to the
-    /// scalar call on that lane's vector.
-    #[inline]
-    pub fn normalized(self) -> Self {
-        let len = self.length();
-        let scaled = Self { x: self.x / len, y: self.y / len, z: self.z / len };
-        let keep = len.gt(F32x8::splat(1e-12));
-        Self {
-            x: scaled.x.select(self.x, keep),
-            y: scaled.y.select(self.y, keep),
-            z: scaled.z.select(self.z, keep),
-        }
-    }
-}
-
-impl std::ops::Add for Vec3x8 {
-    type Output = Self;
-    #[inline]
-    fn add(self, o: Self) -> Self {
-        Self { x: self.x + o.x, y: self.y + o.y, z: self.z + o.z }
-    }
-}
-
-impl std::ops::Sub for Vec3x8 {
-    type Output = Self;
-    #[inline]
-    fn sub(self, o: Self) -> Self {
-        Self { x: self.x - o.x, y: self.y - o.y, z: self.z - o.z }
-    }
-}
-
-impl std::ops::Sub<Vec3> for Vec3x8 {
-    type Output = Self;
-    #[inline]
-    fn sub(self, o: Vec3) -> Self {
-        Self { x: self.x - o.x, y: self.y - o.y, z: self.z - o.z }
-    }
-}
-
-impl std::ops::Mul<F32x8> for Vec3x8 {
-    type Output = Self;
-    #[inline]
-    fn mul(self, s: F32x8) -> Self {
-        Self { x: self.x * s, y: self.y * s, z: self.z * s }
-    }
-}
-
-impl std::ops::Mul<f32> for Vec3x8 {
-    type Output = Self;
-    #[inline]
-    fn mul(self, s: f32) -> Self {
-        Self { x: self.x * s, y: self.y * s, z: self.z * s }
-    }
-}
-
-impl std::ops::Div<f32> for Vec3x8 {
-    type Output = Self;
-    #[inline]
-    fn div(self, s: f32) -> Self {
-        Self { x: self.x / s, y: self.y / s, z: self.z / s }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -940,56 +498,35 @@ mod tests {
         assert_eq!(-a, F32x4::new(-1.0, -2.0, -3.0, -4.0));
         assert_eq!(a.clamp(1.5, 3.5), F32x4::new(1.5, 2.0, 3.0, 3.5));
     }
-
-    #[test]
-    fn lane_width_knob_reports_packet_sizes() {
-        assert_eq!(LaneWidth::default(), LaneWidth::X4);
-        assert_eq!(LaneWidth::X4.lanes(), LANES);
-        assert_eq!(LaneWidth::X8.lanes(), LANES8);
-    }
-
-    #[test]
-    fn mask8_logic_matches_per_lane_booleans() {
-        let a = F32x8::new([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
-        let mask = a.lt(F32x8::splat(4.5));
-        assert_eq!(mask, Mask8([true, true, true, true, false, false, false, false]));
-        assert!(mask.any());
-        assert!(!Mask8::NONE.any());
-        assert_eq!(Mask8::ALL.and(mask), mask);
-        assert_eq!(Mask8::NONE.or(mask), mask);
-        assert_eq!(!(!mask), mask);
-        assert_eq!(a.select(F32x8::ZERO, mask).lane(5), 0.0);
-        assert_eq!(a.select(F32x8::ZERO, mask).lane(2), 3.0);
-    }
 }
 
 #[cfg(test)]
-mod wide_lane_proptests {
-    //! Satellite coverage: every `F32x8` / `Vec3x8` operation is pinned
-    //! bit-identical per lane to the scalar operation it replaces, over
-    //! random inputs (mirroring the 4-wide contract the scene proptests
-    //! pin end to end through the SDF trees).
+mod lane_proptests {
+    //! Every `F32x4` / `Vec3x4` operation is pinned bit-identical per lane
+    //! to the scalar operation it replaces, over random inputs (the scene
+    //! proptests pin the same contract end to end through the SDF trees; the
+    //! fixed-input unit tests above pin edge cases such as ±0).
 
     use super::*;
     use proptest::collection;
     use proptest::prelude::*;
 
-    fn pack(v: &[f32]) -> F32x8 {
-        F32x8(std::array::from_fn(|i| v[i]))
+    fn pack(v: &[f32]) -> F32x4 {
+        F32x4(std::array::from_fn(|i| v[i]))
     }
 
-    fn vec_lanes(v: &[f32]) -> [Vec3; 8] {
+    fn vec_lanes(v: &[f32]) -> [Vec3; LANES] {
         std::array::from_fn(|i| Vec3::new(v[3 * i], v[3 * i + 1], v[3 * i + 2]))
     }
 
     proptest! {
         #[test]
-        fn f32x8_arithmetic_is_bit_identical_to_scalar(
-            xs in collection::vec(-100.0f32..100.0, 8..9),
-            ys in collection::vec(-100.0f32..100.0, 8..9),
+        fn f32x4_arithmetic_is_bit_identical_to_scalar(
+            xs in collection::vec(-100.0f32..100.0, 4..5),
+            ys in collection::vec(-100.0f32..100.0, 4..5),
         ) {
             let (a, b) = (pack(&xs), pack(&ys));
-            for i in 0..LANES8 {
+            for i in 0..LANES {
                 let (x, y) = (xs[i], ys[i]);
                 prop_assert_eq!((a + b).lane(i).to_bits(), (x + y).to_bits());
                 prop_assert_eq!((a - b).lane(i).to_bits(), (x - y).to_bits());
@@ -1000,8 +537,8 @@ mod wide_lane_proptests {
         }
 
         #[test]
-        fn f32x8_scalar_broadcast_is_bit_identical_to_scalar(
-            xs in collection::vec(-100.0f32..100.0, 8..9),
+        fn f32x4_scalar_broadcast_is_bit_identical_to_scalar(
+            xs in collection::vec(-100.0f32..100.0, 4..5),
             s in -10.0f32..10.0,
         ) {
             let a = pack(&xs);
@@ -1014,8 +551,8 @@ mod wide_lane_proptests {
         }
 
         #[test]
-        fn f32x8_unary_helpers_are_bit_identical_to_scalar(
-            xs in collection::vec(-100.0f32..100.0, 8..9),
+        fn f32x4_unary_helpers_are_bit_identical_to_scalar(
+            xs in collection::vec(-100.0f32..100.0, 4..5),
             lo in -5.0f32..0.0,
             span in 0.0f32..10.0,
         ) {
@@ -1031,12 +568,12 @@ mod wide_lane_proptests {
         }
 
         #[test]
-        fn f32x8_comparisons_and_select_match_scalar(
-            xs in collection::vec(-100.0f32..100.0, 8..9),
-            ys in collection::vec(-100.0f32..100.0, 8..9),
+        fn f32x4_comparisons_and_select_match_scalar(
+            xs in collection::vec(-100.0f32..100.0, 4..5),
+            ys in collection::vec(-100.0f32..100.0, 4..5),
         ) {
             let (a, b) = (pack(&xs), pack(&ys));
-            for i in 0..LANES8 {
+            for i in 0..LANES {
                 let (x, y) = (xs[i], ys[i]);
                 prop_assert_eq!(a.lt(b).lane(i), x < y);
                 prop_assert_eq!(a.le(b).lane(i), x <= y);
@@ -1049,19 +586,19 @@ mod wide_lane_proptests {
         }
 
         #[test]
-        fn vec3x8_compound_helpers_are_bit_identical_to_scalar(
-            xs in collection::vec(-10.0f32..10.0, 24..25),
-            ys in collection::vec(-10.0f32..10.0, 24..25),
+        fn vec3x4_compound_helpers_are_bit_identical_to_scalar(
+            xs in collection::vec(-10.0f32..10.0, 12..13),
+            ys in collection::vec(-10.0f32..10.0, 12..13),
         ) {
             let (va, vb) = (vec_lanes(&xs), vec_lanes(&ys));
-            let (pa, pb) = (Vec3x8::from_lanes(va), Vec3x8::from_lanes(vb));
+            let (pa, pb) = (Vec3x4::from_lanes(va), Vec3x4::from_lanes(vb));
             let dot = pa.dot(pb);
             let len = pa.length();
             let maxc = pa.max_component();
             let norm = pa.normalized();
             let sum = pa + pb;
             let diff = pa - pb;
-            for i in 0..LANES8 {
+            for i in 0..LANES {
                 prop_assert_eq!(dot.lane(i).to_bits(), va[i].dot(vb[i]).to_bits());
                 prop_assert_eq!(len.lane(i).to_bits(), va[i].length().to_bits());
                 prop_assert_eq!(maxc.lane(i).to_bits(), va[i].max_component().to_bits());
@@ -1075,12 +612,12 @@ mod wide_lane_proptests {
         }
 
         #[test]
-        fn vec3x8_bound_clamps_are_bit_identical_to_scalar(
-            xs in collection::vec(-10.0f32..10.0, 24..25),
+        fn vec3x4_bound_clamps_are_bit_identical_to_scalar(
+            xs in collection::vec(-10.0f32..10.0, 12..13),
             bound in collection::vec(-5.0f32..5.0, 3..4),
         ) {
             let va = vec_lanes(&xs);
-            let pa = Vec3x8::from_lanes(va);
+            let pa = Vec3x4::from_lanes(va);
             let b = Vec3::new(bound[0], bound[1], bound[2]);
             let lo = pa.min_vec(b);
             let hi = pa.max_vec(b);

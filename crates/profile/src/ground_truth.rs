@@ -11,7 +11,7 @@
 //! fleet re-deployments and repeated bench/CI runs then render each ground
 //! truth **once** — fleet-wide, when machines share a remote.
 //!
-//! Renders are deterministic and bit-identical for every worker/tile/lane
+//! Renders are deterministic and bit-identical for every worker/tile
 //! count (see [`nerflex_scene::raymarch`]), so a cached ground truth —
 //! in-memory, local or remote — yields measurements identical to a fresh
 //! build.
@@ -28,7 +28,7 @@
 //! the shared store machinery.
 
 use crate::measurement::{MeasurementSettings, ObjectGroundTruth};
-use nerflex_bake::store::{EntryCodec, KeyedStore, StoreOptions};
+use nerflex_bake::store::{EntryCodec, KeyedStore, StoreOptions, StoreStats};
 use nerflex_bake::{fnv1a, model_fingerprint};
 use nerflex_image::{Color, Image};
 use nerflex_scene::object::ObjectModel;
@@ -188,38 +188,6 @@ impl EntryCodec for GtEntryCodec {
     }
 }
 
-/// Hit/miss/build counters of a [`GroundTruthCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct GroundTruthStats {
-    /// Lookups answered by a ground truth built in this process.
-    pub hits: usize,
-    /// Lookups answered by an entry decoded from the persistent store
-    /// (cross-process reuse).
-    pub disk_hits: usize,
-    /// Lookups that had to render.
-    pub misses: usize,
-    /// Ground truths rendered by this process (`== misses`, kept separate
-    /// for reporting symmetry).
-    pub builds: usize,
-    /// Lookups that waited on another lookup's in-flight render of the same
-    /// ground truth instead of duplicating it (0 unless the cache was
-    /// opened with `StoreOptions::coalesce` — the deployment service does).
-    pub coalesced: usize,
-    /// Distinct ground truths currently held in memory or indexed on disk.
-    pub entries: usize,
-    /// Entries indexed from the store directory when the cache was opened
-    /// (decoded lazily on first lookup; 0 for in-memory caches).
-    pub indexed_from_disk: usize,
-    /// Remote operations attempted by a shared backend (0 otherwise).
-    pub remote_ops: usize,
-    /// Remote operations that failed after exhausting their retry budget.
-    pub remote_errors: usize,
-    /// Transient remote errors that were retried.
-    pub retries: usize,
-    /// Remote operations skipped because the remote was degraded.
-    pub degraded_ops: usize,
-}
-
 /// A thread-safe, content-addressed store of object ground truths, shared by
 /// every profiling call of a pipeline run (and, when opened over a
 /// persistent backend, across processes and machines).
@@ -263,22 +231,10 @@ impl GroundTruthCache {
         self.store.options().primary_dir()
     }
 
-    /// Current counters.
-    pub fn stats(&self) -> GroundTruthStats {
-        let stats = self.store.stats();
-        GroundTruthStats {
-            hits: stats.hits,
-            disk_hits: stats.disk_hits,
-            misses: stats.misses,
-            builds: stats.misses,
-            coalesced: stats.coalesced,
-            entries: stats.entries,
-            indexed_from_disk: stats.indexed,
-            remote_ops: stats.remote_ops,
-            remote_errors: stats.remote_errors,
-            retries: stats.retries,
-            degraded_ops: stats.degraded_ops,
-        }
+    /// Current counters (`misses` = ground truths rendered by this
+    /// process).
+    pub fn stats(&self) -> StoreStats {
+        self.store.stats()
     }
 
     /// Total wall-clock time this cache spent rendering ground truths —
@@ -400,7 +356,7 @@ mod tests {
         // same content and therefore the same entry.
         let clone = cache.get_or_build(&CanonicalObject::Hotdog.build(), &settings);
         let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.builds, stats.entries), (2, 1, 1, 1));
+        assert_eq!((stats.hits, stats.misses, stats.entries), (2, 1, 1));
         assert!(Arc::ptr_eq(&first, &again) && Arc::ptr_eq(&first, &clone));
         assert!(cache.build_time() > Duration::ZERO);
         // Worker counts never affect the key (output bits are identical).
@@ -419,13 +375,13 @@ mod tests {
         let settings = quick_settings();
 
         let cache = GroundTruthCache::open(&tmp.0).expect("open");
-        assert_eq!(cache.stats().indexed_from_disk, 0);
+        assert_eq!(cache.stats().indexed, 0);
         let built = cache.get_or_build(&model, &settings);
         assert_eq!(cache.flush().expect("flush"), 1);
         assert_eq!(cache.flush().expect("clean flush"), 0);
 
         let reopened = GroundTruthCache::open(&tmp.0).expect("reopen");
-        assert_eq!(reopened.stats().indexed_from_disk, 1);
+        assert_eq!(reopened.stats().indexed, 1);
         let loaded = reopened.get_or_build(&model, &settings);
         let stats = reopened.stats();
         assert_eq!((stats.hits, stats.disk_hits, stats.misses), (0, 1, 0));
@@ -452,7 +408,7 @@ mod tests {
         std::fs::write(&path, &bytes[..bytes.len() / 3]).expect("truncate");
 
         let reopened = GroundTruthCache::open(&tmp.0).expect("reopen");
-        assert_eq!(reopened.stats().indexed_from_disk, 1);
+        assert_eq!(reopened.stats().indexed, 1);
         let rebuilt = reopened.get_or_build(&model, &settings);
         let stats = reopened.stats();
         assert_eq!((stats.disk_hits, stats.misses), (0, 1));
@@ -478,7 +434,7 @@ mod tests {
         let options = StoreOptions::dir(&tmp.0)
             .with_limits(StoreLimits::default().with_max_age(std::time::Duration::ZERO));
         let pruned = GroundTruthCache::open(options).expect("open");
-        assert_eq!(pruned.stats().indexed_from_disk, 0, "expired entry must not index");
+        assert_eq!(pruned.stats().indexed, 0, "expired entry must not index");
         let rebuilt = pruned.get_or_build(&model, &settings);
         assert_eq!(pruned.stats().misses, 1);
         assert_eq!(built.images, rebuilt.images);
@@ -488,7 +444,7 @@ mod tests {
         let generous =
             StoreOptions::dir(&tmp.0).with_limits(StoreLimits::default().with_max_bytes(u64::MAX));
         let kept = GroundTruthCache::open(generous).expect("open");
-        assert_eq!(kept.stats().indexed_from_disk, 1);
+        assert_eq!(kept.stats().indexed, 1);
     }
 
     #[test]
@@ -509,7 +465,7 @@ mod tests {
 
         let b =
             GroundTruthCache::open(StoreOptions::shared(&local_b.0, &remote.0)).expect("open B");
-        assert_eq!(b.stats().indexed_from_disk, 1, "cold local layer indexes the remote");
+        assert_eq!(b.stats().indexed, 1, "cold local layer indexes the remote");
         let loaded = b.get_or_build(&model, &settings);
         let stats = b.stats();
         assert_eq!((stats.disk_hits, stats.misses), (1, 0), "warm remote renders nothing");

@@ -32,7 +32,7 @@ pub mod model;
 pub mod profiler;
 pub mod sampling;
 
-pub use ground_truth::{GroundTruthCache, GroundTruthStats};
+pub use ground_truth::GroundTruthCache;
 pub use measurement::{measure_object, measure_object_in, Measurement, MetricsAccounting};
 pub use model::{
     QualityModel, SizeModel, SizeQualityModel, SplatModels, SplatQualityModel, SplatSizeModel,

@@ -33,9 +33,9 @@ pub struct Measurement {
     pub quad_count: usize,
 }
 
-/// How measurements are taken: probe view count and resolution, how many
+/// How measurements are taken: probe view count and resolution, and how many
 /// worker threads fan out over the sample configurations and the
-/// ground-truth render tiles, and the SIMD lane width.
+/// ground-truth render tiles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MeasurementSettings {
     /// Number of probe views on the measurement orbit.
@@ -44,14 +44,14 @@ pub struct MeasurementSettings {
     pub resolution: usize,
     /// Worker threads of the measurement: the sample bakes, the
     /// (configuration × view) scoring grid and the tiled ray-marched
-    /// ground-truth renders ([`nerflex_scene::raymarch::render_view_lanes`])
+    /// ground-truth renders ([`nerflex_scene::raymarch::render_view_parallel`])
     /// all fan out over this many pool workers. Output bits are identical
     /// for every value; `1` (the default) is the sequential path, `0` uses
     /// one worker per available core.
     pub worker_threads: usize,
-    /// SIMD lane width of the ground-truth ray marching and the fused
-    /// metrics band kernel. Output bits never change with the lane width
-    /// (see `docs/determinism.md`), so this is purely a throughput knob.
+    /// SIMD packet width. [`LaneWidth`] has the single value `X4` — every
+    /// lane kernel runs four lanes (see `docs/determinism.md`) — so this
+    /// field selects nothing; it is passed through to the metrics scoring.
     pub lane_width: LaneWidth,
 }
 
@@ -66,13 +66,6 @@ impl MeasurementSettings {
     /// core, `1` = sequential; output bits never change).
     pub fn with_worker_threads(mut self, workers: usize) -> Self {
         self.worker_threads = workers;
-        self
-    }
-
-    /// Returns the settings with the given SIMD lane width (output bits
-    /// never change).
-    pub fn with_lane_width(mut self, lane_width: LaneWidth) -> Self {
-        self.lane_width = lane_width;
         self
     }
 }
@@ -150,21 +143,19 @@ impl ObjectGroundTruth {
     }
 
     /// Renders the ground truth for a standalone object. The ray-marched
-    /// probe renders are tiled over `settings.worker_threads` pool threads
-    /// and marched at `settings.lane_width`; the images are
-    /// bit-identical for every worker count and lane width.
+    /// probe renders are tiled over `settings.worker_threads` pool threads;
+    /// the images are bit-identical for every worker count.
     pub fn build(model: &ObjectModel, settings: &MeasurementSettings) -> Self {
         let (scene, poses) = Self::probe_rig(model, settings);
         let images = poses
             .iter()
             .map(|pose| {
-                nerflex_scene::raymarch::render_view_lanes(
+                nerflex_scene::raymarch::render_view_parallel(
                     &scene,
                     pose,
                     settings.resolution,
                     settings.resolution,
                     settings.worker_threads,
-                    settings.lane_width,
                 )
                 .0
             })
@@ -416,25 +407,20 @@ mod tests {
     }
 
     #[test]
-    fn batched_dispatch_is_bit_identical_for_every_worker_count_and_lane_width() {
+    fn batched_dispatch_is_bit_identical_for_every_worker_count() {
         // The batched whole-profile evaluation must reproduce the plain
         // per-configuration loop (`ObjectGroundTruth::measure`) bit for bit:
-        // same configs, every tested worker count, both lane widths (lane
-        // width also reaches the ground-truth ray marching here). `0` = one
-        // worker per core.
+        // same configs, every tested worker count (the worker count also
+        // reaches the ground-truth ray marching here). `0` = one worker per
+        // core.
         let model = CanonicalObject::Hotdog.build();
         let configs = vec![BakeConfig::new(10, 3), BakeConfig::new(16, 5), BakeConfig::new(24, 7)];
         let gt = ObjectGroundTruth::build(&model, &quick_settings());
         let reference: Vec<Measurement> = configs.iter().map(|&c| gt.measure(c)).collect();
         for workers in [1, 2, 4, 7, 0] {
-            for lanes in [LaneWidth::X4, LaneWidth::X8] {
-                let batched = measure_object(
-                    &model,
-                    &configs,
-                    &quick_settings().with_worker_threads(workers).with_lane_width(lanes),
-                );
-                assert_eq!(reference, batched, "workers={workers} lanes={lanes:?}");
-            }
+            let batched =
+                measure_object(&model, &configs, &quick_settings().with_worker_threads(workers));
+            assert_eq!(reference, batched, "workers={workers}");
         }
     }
 

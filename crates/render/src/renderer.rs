@@ -19,9 +19,6 @@ pub struct RenderOptions {
     /// per available core). Never changes output bits
     /// (`docs/determinism.md`).
     pub splat_workers: usize,
-    /// Lane width for the compositor's per-pixel gaussian evaluation.
-    /// Never changes output bits.
-    pub splat_lanes: nerflex_math::simd::LaneWidth,
 }
 
 /// Workload statistics for one rendered frame, consumed by the device FPS

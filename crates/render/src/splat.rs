@@ -1,6 +1,6 @@
 //! Deterministic gaussian-splat compositing — the device-side half of the
-//! splat representation family (ISSUE 10; extraction lives in
-//! `nerflex_bake::splat`, the family design in `docs/splats.md`).
+//! splat representation family (extraction lives in `nerflex_bake::splat`,
+//! the family design in `docs/splats.md`).
 //!
 //! Splats are composited after rasterisation and background fill: every
 //! splat is projected to a screen-space 2×2 gaussian footprint, all splats
@@ -10,7 +10,7 @@
 //!
 //! # The determinism contract (`docs/determinism.md`)
 //!
-//! Worker, tile and lane counts never change output bits:
+//! Worker and tile counts never change output bits:
 //!
 //! * the back-to-front order is a **fixed global sort**: depth descending
 //!   by `f32::total_cmp`, ties broken by (asset index, splat index) — a
@@ -19,10 +19,10 @@
 //!   pixel's entire blend chain happens inside its own row job in sorted
 //!   splat order, and rows are stitched in job order, so worker counts are
 //!   invisible by construction;
-//! * the per-pixel quadratic form is evaluated on [`F32x4`]/[`F32x8`]
+//! * the per-pixel quadratic form is evaluated on four-wide [`F32x4`]
 //!   packets whose lanes are exact scalar arithmetic, and the `exp` +
-//!   alpha blend runs scalar per pixel in column order — so lane width is
-//!   pure batching and `X4`/`X8` produce bit-identical frames.
+//!   alpha blend runs scalar per pixel in column order — so the packets are
+//!   pure batching and match the scalar blend bit for bit.
 
 use crate::camera::RasterCamera;
 use crate::framebuffer::Framebuffer;
@@ -30,7 +30,7 @@ use crate::renderer::RenderOptions;
 use nerflex_bake::BakedAsset;
 use nerflex_image::Color;
 use nerflex_math::pool::{default_workers, parallel_map};
-use nerflex_math::simd::{F32x4, F32x8, LaneWidth};
+use nerflex_math::simd::{F32x4, LANES};
 use nerflex_math::Vec3;
 
 /// Mahalanobis-distance² cut-off: pixels beyond 3σ contribute < 1.2% alpha
@@ -129,14 +129,8 @@ fn project_splat(
 /// Blends every splat touching row `y` into `colors`, in the fixed sorted
 /// order. The quadratic form is evaluated on lanes; the `exp` and blend
 /// run scalar per pixel in column order, so the blend chain per pixel is
-/// identical for every lane width.
-fn composite_row(
-    y: usize,
-    colors: &mut [Color],
-    depths: &[f32],
-    splats: &[ProjectedSplat],
-    lanes: LaneWidth,
-) {
+/// the scalar one.
+fn composite_row(y: usize, colors: &mut [Color], depths: &[f32], splats: &[ProjectedSplat]) {
     let py = y as f32 + 0.5;
     for s in splats {
         if y < s.y0 || y > s.y1 {
@@ -160,37 +154,19 @@ fn composite_row(
             );
         };
         // Each lane computes exactly the scalar expression
-        // `dx·dx·ia + dx·ib2·dy + dy·dy·ic`, so packet width is pure
-        // batching (docs/determinism.md).
-        match lanes {
-            LaneWidth::X4 => {
-                let mut x = s.x0;
-                while x <= s.x1 {
-                    let dx = F32x4(std::array::from_fn(|i| (x + i) as f32 + 0.5 - s.cx));
-                    let q = dx * dx * s.ia + dx * s.ib2 * dy + dy_term;
-                    for i in 0..4 {
-                        if x + i > s.x1 {
-                            break;
-                        }
-                        blend(x + i, q.lane(i));
-                    }
-                    x += 4;
+        // `dx·dx·ia + dx·ib2·dy + dy·dy·ic`, so the packet is pure batching
+        // (docs/determinism.md).
+        let mut x = s.x0;
+        while x <= s.x1 {
+            let dx = F32x4(std::array::from_fn(|i| (x + i) as f32 + 0.5 - s.cx));
+            let q = dx * dx * s.ia + dx * s.ib2 * dy + dy_term;
+            for i in 0..LANES {
+                if x + i > s.x1 {
+                    break;
                 }
+                blend(x + i, q.lane(i));
             }
-            LaneWidth::X8 => {
-                let mut x = s.x0;
-                while x <= s.x1 {
-                    let dx = F32x8(std::array::from_fn(|i| (x + i) as f32 + 0.5 - s.cx));
-                    let q = dx * dx * s.ia + dx * s.ib2 * dy + dy_term;
-                    for i in 0..8 {
-                        if x + i > s.x1 {
-                            break;
-                        }
-                        blend(x + i, q.lane(i));
-                    }
-                    x += 8;
-                }
-            }
+            x += LANES;
         }
     }
 }
@@ -238,13 +214,7 @@ pub fn composite_splats(
             return None;
         }
         let mut colors: Vec<Color> = (0..width).map(|x| image.get(x, y)).collect();
-        composite_row(
-            y,
-            &mut colors,
-            &depths[y * width..(y + 1) * width],
-            &projected,
-            options.splat_lanes,
-        );
+        composite_row(y, &mut colors, &depths[y * width..(y + 1) * width], &projected);
         Some(colors)
     });
     let image = framebuffer.color_mut();
@@ -299,29 +269,23 @@ mod tests {
     }
 
     #[test]
-    fn output_is_bit_identical_across_workers_and_lanes() {
-        // The acceptance criterion: {1, 4, auto} workers × {X4, X8} lanes
-        // all produce the same bits.
+    fn output_is_bit_identical_across_workers() {
+        // The acceptance criterion: {1, 4, auto} workers all produce the
+        // same bits.
         let asset = splat_asset(768);
         let reference =
             render_with(&asset, &RenderOptions { splat_workers: 1, ..RenderOptions::default() }).0;
         for workers in [1usize, 4, 0] {
-            for lanes in [LaneWidth::X4, LaneWidth::X8] {
-                let options = RenderOptions {
-                    splat_workers: workers,
-                    splat_lanes: lanes,
-                    ..RenderOptions::default()
-                };
-                let img = render_with(&asset, &options).0;
-                assert!(
-                    reference.pixels().iter().zip(img.pixels()).all(|(a, b)| {
-                        a.r.to_bits() == b.r.to_bits()
-                            && a.g.to_bits() == b.g.to_bits()
-                            && a.b.to_bits() == b.b.to_bits()
-                    }),
-                    "bits changed at workers={workers}, lanes={lanes:?}"
-                );
-            }
+            let options = RenderOptions { splat_workers: workers, ..RenderOptions::default() };
+            let img = render_with(&asset, &options).0;
+            assert!(
+                reference.pixels().iter().zip(img.pixels()).all(|(a, b)| {
+                    a.r.to_bits() == b.r.to_bits()
+                        && a.g.to_bits() == b.g.to_bits()
+                        && a.b.to_bits() == b.b.to_bits()
+                }),
+                "bits changed at workers={workers}"
+            );
         }
     }
 

@@ -31,16 +31,16 @@
 //!   pixels at the row end fall back to the scalar path.
 //!
 //! Tests in this module assert both properties exhaustively; any future
-//! change to this file must keep `worker/tile/lane count never changes
-//! output bits` true.
+//! change to this file must keep `worker count, tile height and the
+//! packet/scalar split never change output bits` true.
 
 use crate::camera_path::CameraPose;
 use crate::scene::Scene;
 use nerflex_image::{Color, Image};
 use nerflex_math::pool::{default_workers, parallel_map};
-use nerflex_math::simd::{LANES, LANES8};
+use nerflex_math::simd::LANES;
 use nerflex_math::transform::camera_to_world;
-use nerflex_math::{Aabb, F32x4, F32x8, LaneWidth, Mask4, Mask8, Mat4, Ray, Vec3, Vec3x4, Vec3x8};
+use nerflex_math::{Aabb, F32x4, Mask4, Mat4, Ray, Vec3, Vec3x4};
 
 /// Maximum sphere-tracing steps per ray.
 const MAX_STEPS: usize = 96;
@@ -83,18 +83,6 @@ pub fn shade_x4(albedos: [Color; LANES], normals: Vec3x4) -> [Color; LANES] {
     let fill = Vec3::new(-0.6, 0.4, -0.5).normalized();
     let diffuse = normals.dot(Vec3x4::splat(key)).max(F32x4::ZERO) * 0.75
         + normals.dot(Vec3x4::splat(fill)).max(F32x4::ZERO) * 0.35;
-    let light = diffuse + 0.25;
-    std::array::from_fn(|lane| albedos[lane].scale(light.lane(lane)).clamped())
-}
-
-/// Eight-lane Lambert shading: [`shade_x4`] widened to the wavefront
-/// packet. Per-lane ops and association orders are unchanged, so lane `i`
-/// is **bit-identical** to `shade(albedos[i], normals.lane(i))`.
-pub fn shade_x8(albedos: [Color; LANES8], normals: Vec3x8) -> [Color; LANES8] {
-    let key = Vec3::new(0.5, 0.8, 0.3).normalized();
-    let fill = Vec3::new(-0.6, 0.4, -0.5).normalized();
-    let diffuse = normals.dot(Vec3x8::splat(key)).max(F32x8::ZERO) * 0.75
-        + normals.dot(Vec3x8::splat(fill)).max(F32x8::ZERO) * 0.35;
     let light = diffuse + 0.25;
     std::array::from_fn(|lane| albedos[lane].scale(light.lane(lane)).clamped())
 }
@@ -230,100 +218,6 @@ fn resolve_packet_hits(
     hits
 }
 
-/// Sphere-traces a packet of eight rays at once — the wavefront layout of
-/// [`trace_packet`] selected by [`LaneWidth::X8`].
-///
-/// The marching state (positions, distances, termination decisions) runs on
-/// the eight-wide lanes; the SDF substrate is evaluated through
-/// [`Scene::distance_bounded_x8`], which drives the four-wide SDF trees on
-/// the packet's two halves. Per-lane ops are the exact scalar ops in the
-/// same association order, so each active lane's result is
-/// **bit-identical** to [`trace`] on that ray — the lane-width knob never
-/// changes output bits.
-pub fn trace_packet8(
-    scene: &Scene,
-    boxes: &[Aabb],
-    rays: &[Ray; LANES8],
-    max_distance: f32,
-    mut active: Mask8,
-) -> [Option<Hit>; LANES8] {
-    let origin = Vec3x8::from_lanes(std::array::from_fn(|i| rays[i].origin));
-    let direction = Vec3x8::from_lanes(std::array::from_fn(|i| rays[i].direction));
-    let mut t = F32x8::ZERO;
-    // (t, hit point, object id) per lane, resolved to normals after the march.
-    let mut pending: [Option<(f32, Vec3, usize)>; LANES8] = [None; LANES8];
-    for _ in 0..MAX_STEPS {
-        if !active.any() {
-            break;
-        }
-        let p = origin + direction * t;
-        let (d, ids) = scene.distance_bounded_x8(p, boxes, active);
-        for lane in 0..LANES8 {
-            if !active.lane(lane) {
-                continue;
-            }
-            let dl = d.lane(lane);
-            if dl < HIT_EPS {
-                if let Some(id) = ids[lane].filter(|&id| scene.object(id).is_some()) {
-                    pending[lane] = Some((t.lane(lane), p.lane(lane), id));
-                }
-                active.0[lane] = false;
-            } else {
-                let next = t.lane(lane) + dl.max(HIT_EPS * 0.5);
-                t.set_lane(lane, next);
-                if next > max_distance {
-                    active.0[lane] = false;
-                }
-            }
-        }
-    }
-    resolve_packet_hits8(scene, pending)
-}
-
-/// [`resolve_packet_hits`] for the eight-wide packet: lanes that hit the
-/// same object are grouped into [`Sdf::normal_x4`] calls of up to four
-/// lanes each. Lane independence of the packet ops keeps every normal
-/// bit-identical to the scalar path regardless of the grouping, exactly as
-/// in the four-wide resolver.
-fn resolve_packet_hits8(
-    scene: &Scene,
-    pending: [Option<(f32, Vec3, usize)>; LANES8],
-) -> [Option<Hit>; LANES8] {
-    let mut hits = [None; LANES8];
-    let mut resolved = [false; LANES8];
-    for lane in 0..LANES8 {
-        if resolved[lane] {
-            continue;
-        }
-        let Some((_, point, id)) = pending[lane] else { continue };
-        // Gather up to four unresolved lanes (starting with this one) that
-        // hit the same object into one normal_x4 call.
-        let mut group = [lane; LANES];
-        let mut points = [point; LANES];
-        let mut count = 0;
-        for (other, entry) in pending.iter().enumerate().skip(lane) {
-            if count == LANES {
-                break;
-            }
-            if let Some((_, other_point, other_id)) = entry {
-                if !resolved[other] && *other_id == id {
-                    group[count] = other;
-                    points[count] = *other_point;
-                    count += 1;
-                }
-            }
-        }
-        let sdf = scene.object(id).expect("validated during marching").world_sdf();
-        let normals = sdf.normal_x4(Vec3x4::from_lanes(points));
-        for (slot, &member) in group.iter().enumerate().take(count) {
-            let (t, p, _) = pending[member].expect("grouped lanes are pending");
-            hits[member] = Some(Hit { t, point: p, normal: normals.lane(slot), object_id: id });
-            resolved[member] = true;
-        }
-    }
-    hits
-}
-
 /// Computes the per-object world bounding boxes used by [`trace`].
 pub fn object_boxes(scene: &Scene) -> Vec<Aabb> {
     scene.objects().iter().map(|o| o.world_bounding_box().inflate(1e-3)).collect()
@@ -393,10 +287,9 @@ fn shade_pixel(scene: &Scene, ray: &Ray, hit: Option<Hit>) -> (Color, Option<usi
 }
 
 /// Renders the rows `y0..y1` into row-major colour/instance buffers, with
-/// packets of `lane_width` rays across each row and a scalar tail. The lane
-/// width never changes output bits (each packet lane is the exact scalar
+/// four-ray packets across each row and a scalar tail. The packet/scalar
+/// split never changes output bits (each packet lane is the exact scalar
 /// trace/shade of that pixel).
-#[allow(clippy::too_many_arguments)]
 fn render_rows(
     scene: &Scene,
     boxes: &[Aabb],
@@ -405,57 +298,40 @@ fn render_rows(
     y0: usize,
     y1: usize,
     max_distance: f32,
-    lane_width: LaneWidth,
 ) -> (Vec<Color>, Vec<Option<usize>>) {
     let mut colors = Vec::with_capacity((y1 - y0) * width);
     let mut instances = Vec::with_capacity((y1 - y0) * width);
     for y in y0..y1 {
         let mut x = 0;
-        match lane_width {
-            // Four-wide ray packets across the row (the reference path).
-            LaneWidth::X4 => {
-                while x + LANES <= width {
-                    let packet: [Ray; LANES] = std::array::from_fn(|i| rays.ray(x + i, y));
-                    let hits = trace_packet(scene, boxes, &packet, max_distance, Mask4::ALL);
-                    // Albedo lookups stay scalar (appearance is
-                    // data-dependent); the Lambert term runs on lanes via
-                    // `shade_x4`. Miss lanes carry a zero normal/albedo and
-                    // are replaced by the background below.
-                    let mut albedos = [Color::BLACK; LANES];
-                    let mut normals = [Vec3::ZERO; LANES];
-                    for lane in 0..LANES {
-                        if let Some(hit) = hits[lane] {
-                            let obj =
-                                scene.object(hit.object_id).expect("hit references a valid object");
-                            albedos[lane] = obj.albedo(hit.point, hit.normal);
-                            normals[lane] = hit.normal;
-                        }
-                    }
-                    let shaded = shade_x4(albedos, Vec3x4::from_lanes(normals));
-                    push_packet_pixels(&mut colors, &mut instances, &hits, &shaded, &packet);
-                    x += LANES;
+        while x + LANES <= width {
+            let packet: [Ray; LANES] = std::array::from_fn(|i| rays.ray(x + i, y));
+            let hits = trace_packet(scene, boxes, &packet, max_distance, Mask4::ALL);
+            // Albedo lookups stay scalar (appearance is data-dependent); the
+            // Lambert term runs on lanes via `shade_x4`. Miss lanes carry a
+            // zero normal/albedo and are replaced by the background below.
+            let mut albedos = [Color::BLACK; LANES];
+            let mut normals = [Vec3::ZERO; LANES];
+            for lane in 0..LANES {
+                if let Some(hit) = hits[lane] {
+                    let obj = scene.object(hit.object_id).expect("hit references a valid object");
+                    albedos[lane] = obj.albedo(hit.point, hit.normal);
+                    normals[lane] = hit.normal;
                 }
             }
-            // Eight-wide wavefront packets across the row.
-            LaneWidth::X8 => {
-                while x + LANES8 <= width {
-                    let packet: [Ray; LANES8] = std::array::from_fn(|i| rays.ray(x + i, y));
-                    let hits = trace_packet8(scene, boxes, &packet, max_distance, Mask8::ALL);
-                    let mut albedos = [Color::BLACK; LANES8];
-                    let mut normals = [Vec3::ZERO; LANES8];
-                    for lane in 0..LANES8 {
-                        if let Some(hit) = hits[lane] {
-                            let obj =
-                                scene.object(hit.object_id).expect("hit references a valid object");
-                            albedos[lane] = obj.albedo(hit.point, hit.normal);
-                            normals[lane] = hit.normal;
-                        }
+            let shaded = shade_x4(albedos, Vec3x4::from_lanes(normals));
+            for lane in 0..LANES {
+                match hits[lane] {
+                    Some(hit) => {
+                        colors.push(shaded[lane]);
+                        instances.push(Some(hit.object_id));
                     }
-                    let shaded = shade_x8(albedos, Vec3x8::from_lanes(normals));
-                    push_packet_pixels(&mut colors, &mut instances, &hits, &shaded, &packet);
-                    x += LANES8;
+                    None => {
+                        colors.push(background(packet[lane].direction));
+                        instances.push(None);
+                    }
                 }
             }
+            x += LANES;
         }
         // Scalar fallback for the leftover pixels of the row.
         while x < width {
@@ -468,29 +344,6 @@ fn render_rows(
         }
     }
     (colors, instances)
-}
-
-/// Appends one packet's pixels to the row buffers: hit lanes take the
-/// packet-shaded colour, miss lanes the background of their ray.
-fn push_packet_pixels<const N: usize>(
-    colors: &mut Vec<Color>,
-    instances: &mut Vec<Option<usize>>,
-    hits: &[Option<Hit>; N],
-    shaded: &[Color; N],
-    packet: &[Ray; N],
-) {
-    for lane in 0..N {
-        match hits[lane] {
-            Some(hit) => {
-                colors.push(shaded[lane]);
-                instances.push(Some(hit.object_id));
-            }
-            None => {
-                colors.push(background(packet[lane].direction));
-                instances.push(None);
-            }
-        }
-    }
 }
 
 /// Renders a ground-truth view of the scene, returning the image and the
@@ -529,23 +382,6 @@ pub fn render_view_parallel(
     render_view_tiled(scene, pose, width, height, workers, DEFAULT_TILE_ROWS)
 }
 
-/// [`render_view_parallel`] with an explicit packet width (see
-/// [`LaneWidth`]); output is bit-for-bit identical for every combination.
-///
-/// # Panics
-///
-/// Panics if either dimension is zero.
-pub fn render_view_lanes(
-    scene: &Scene,
-    pose: &CameraPose,
-    width: usize,
-    height: usize,
-    workers: usize,
-    lane_width: LaneWidth,
-) -> (Image, Vec<Option<usize>>) {
-    render_view_tiled_lanes(scene, pose, width, height, workers, DEFAULT_TILE_ROWS, lane_width)
-}
-
 /// [`render_view_parallel`] with an explicit tile height (rows per job);
 /// `workers` follows the same convention (`0` = one per core). Exposed so
 /// tests can assert the determinism contract across tile sizes; output is
@@ -562,25 +398,6 @@ pub fn render_view_tiled(
     workers: usize,
     tile_rows: usize,
 ) -> (Image, Vec<Option<usize>>) {
-    render_view_tiled_lanes(scene, pose, width, height, workers, tile_rows, LaneWidth::X4)
-}
-
-/// [`render_view_tiled`] with an explicit packet width. The lane width is a
-/// pure throughput knob: output is bit-for-bit identical for every
-/// `(workers, tile_rows, lane_width)` combination.
-///
-/// # Panics
-///
-/// Panics if either dimension or `tile_rows` is zero.
-pub fn render_view_tiled_lanes(
-    scene: &Scene,
-    pose: &CameraPose,
-    width: usize,
-    height: usize,
-    workers: usize,
-    tile_rows: usize,
-    lane_width: LaneWidth,
-) -> (Image, Vec<Option<usize>>) {
     assert!(width > 0 && height > 0, "render target must be non-zero");
     assert!(tile_rows > 0, "tile height must be non-zero");
     let boxes = object_boxes(scene);
@@ -594,7 +411,7 @@ pub fn render_view_tiled_lanes(
     let tiles = parallel_map(jobs, workers, |job| {
         let y0 = job * tile_rows;
         let y1 = (y0 + tile_rows).min(height);
-        render_rows(scene, &boxes, &rays, width, y0, y1, max_distance, lane_width)
+        render_rows(scene, &boxes, &rays, width, y0, y1, max_distance)
     });
 
     // Stitch the tiles back in job order (deterministic regardless of
@@ -673,91 +490,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn packet8_trace_is_bit_identical_to_scalar_trace() {
-        let scene = Scene::with_objects(&[CanonicalObject::Hotdog, CanonicalObject::Chair], 4);
-        let boxes = object_boxes(&scene);
-        let pose = orbit_path(scene.bounding_box().center(), 3.0, 0.4, 5)[2];
-        let rays = PrimaryRays::new(&pose, 24, 24);
-        let max_distance = view_max_distance(&scene, pose.eye);
-        for y in 0..24 {
-            for x0 in (0..24).step_by(LANES8) {
-                let packet: [Ray; LANES8] = std::array::from_fn(|i| rays.ray(x0 + i, y));
-                let packed = trace_packet8(&scene, &boxes, &packet, max_distance, Mask8::ALL);
-                for lane in 0..LANES8 {
-                    let scalar = trace(&scene, &boxes, &packet[lane], max_distance);
-                    match (packed[lane], scalar) {
-                        (None, None) => {}
-                        (Some(a), Some(b)) => {
-                            assert_eq!(a.t.to_bits(), b.t.to_bits(), "t at ({x0}+{lane},{y})");
-                            assert_eq!(a.point, b.point);
-                            assert_eq!(a.normal, b.normal);
-                            assert_eq!(a.object_id, b.object_id);
-                        }
-                        (a, b) => panic!("hit mismatch at ({x0}+{lane},{y}): {a:?} vs {b:?}"),
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn inactive_packet8_lanes_stay_none() {
-        let scene = small_scene();
-        let boxes = object_boxes(&scene);
-        let center = scene.bounding_box().center();
-        let eye = center + Vec3::new(0.0, 0.2, 3.0);
-        let ray = Ray::new(eye, center - eye);
-        let mask = Mask8([true, false, true, false, false, true, false, false]);
-        let hits = trace_packet8(&scene, &boxes, &[ray; LANES8], 50.0, mask);
-        for (lane, hit) in hits.iter().enumerate() {
-            assert_eq!(hit.is_some(), mask.lane(lane), "lane {lane}");
-        }
-    }
-
-    #[test]
-    fn lane_width_never_changes_rendered_bits() {
-        // The odd width exercises the 8-wide packets, a 4-wide-only span
-        // and the scalar tail in one image.
-        let scene = Scene::with_objects(&[CanonicalObject::Hotdog, CanonicalObject::Chair], 4);
-        let pose = orbit_path(scene.bounding_box().center(), 3.0, 0.4, 6)[1];
-        let (reference, reference_map) = render_view(&scene, &pose, 29, 23);
-        for (workers, tile_rows) in [(1, 1), (2, 3), (3, 8), (0, 4)] {
-            let (img, map) =
-                render_view_tiled_lanes(&scene, &pose, 29, 23, workers, tile_rows, LaneWidth::X8);
-            assert_eq!(img, reference, "workers={workers} tile_rows={tile_rows}");
-            assert_eq!(map, reference_map, "workers={workers} tile_rows={tile_rows}");
-        }
-        let (img, map) = render_view_lanes(&scene, &pose, 29, 23, 0, LaneWidth::X8);
-        assert_eq!(img, reference);
-        assert_eq!(map, reference_map);
-    }
-
-    #[test]
-    fn shade_x8_is_bit_identical_to_scalar_shade() {
-        let albedos: [Color; LANES8] = std::array::from_fn(|i| {
-            let v = i as f32 / LANES8 as f32;
-            Color::new(v, 1.0 - v, 0.5 + 0.25 * v)
-        });
-        let normals: [Vec3; LANES8] = [
-            Vec3::new(0.5, 0.8, 0.3).normalized(),
-            Vec3::new(-0.6, 0.4, -0.5).normalized(),
-            Vec3::new(0.0, -1.0, 0.0),
-            Vec3::ZERO, // degenerate (miss-lane padding) must not poison others
-            Vec3::new(1.0, 0.0, 0.0),
-            Vec3::new(0.0, 0.0, -1.0),
-            Vec3::new(0.3, -0.3, 0.9).normalized(),
-            Vec3::new(-1.0, 1.0, -1.0).normalized(),
-        ];
-        let packed = shade_x8(albedos, Vec3x8::from_lanes(normals));
-        for lane in 0..LANES8 {
-            let scalar = shade(albedos[lane], normals[lane]);
-            assert_eq!(packed[lane].r.to_bits(), scalar.r.to_bits(), "lane {lane}");
-            assert_eq!(packed[lane].g.to_bits(), scalar.g.to_bits(), "lane {lane}");
-            assert_eq!(packed[lane].b.to_bits(), scalar.b.to_bits(), "lane {lane}");
         }
     }
 

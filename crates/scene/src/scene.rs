@@ -3,8 +3,8 @@
 use crate::appearance::Appearance;
 use crate::object::{random_object, CanonicalObject, ObjectModel};
 use crate::sdf::Sdf;
-use nerflex_math::simd::{LANES, LANES8};
-use nerflex_math::{Aabb, F32x4, F32x8, Mask4, Mask8, Vec3, Vec3x4, Vec3x8};
+use nerflex_math::simd::LANES;
+use nerflex_math::{Aabb, F32x4, Mask4, Vec3, Vec3x4};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -252,25 +252,6 @@ impl Scene {
             }
         }
         (best, best_id)
-    }
-
-    /// Eight-lane [`Scene::distance_bounded_x4`]: the wide wavefront runs
-    /// the four-lane SDF substrate on the packet's two halves. Lane
-    /// independence makes the split irrelevant to the result — each active
-    /// lane is bit-identical to `self.distance_bounded(p.lane(i), boxes,
-    /// f32::INFINITY)` exactly as in the four-wide path.
-    pub fn distance_bounded_x8(
-        &self,
-        p: Vec3x8,
-        boxes: &[Aabb],
-        active: Mask8,
-    ) -> (F32x8, [Option<usize>; LANES8]) {
-        let (p_lo, p_hi) = p.halves();
-        let (m_lo, m_hi) = active.halves();
-        let (d_lo, ids_lo) = self.distance_bounded_x4(p_lo, boxes, m_lo);
-        let (d_hi, ids_hi) = self.distance_bounded_x4(p_hi, boxes, m_hi);
-        let ids = std::array::from_fn(|i| if i < LANES { ids_lo[i] } else { ids_hi[i - LANES] });
-        (F32x8::from_halves(d_lo, d_hi), ids)
     }
 }
 

@@ -19,14 +19,14 @@
 use nerflex::bake::disk::deployment_fingerprint;
 use nerflex::bake::{
     BakeCache, BakeConfig, CacheStats, DirBackend, FaultMode, FaultOp, FaultPlan, FaultyBackend,
-    MemBackend, RetryPolicy, StoreBackend, StoreOptions,
+    MemBackend, RetryPolicy, StoreBackend, StoreOptions, StoreStats,
 };
 use nerflex::core::clock::{Clock, TestClock};
-use nerflex::core::fault::{StageFaultMode, StageFaultPlan, StageOp};
+use nerflex::core::fault::{StageFaultInjector, StageFaultMode, StageFaultPlan, StageOp};
 use nerflex::core::pipeline::{NerflexPipeline, PipelineError, PipelineOptions};
 use nerflex::core::service::{DeployRequest, DeployService, ServiceOptions};
 use nerflex::device::DeviceSpec;
-use nerflex::profile::{GroundTruthStats, ProfilerOptions};
+use nerflex::profile::ProfilerOptions;
 use nerflex::scene::dataset::Dataset;
 use nerflex::scene::object::CanonicalObject;
 use nerflex::scene::scene::Scene;
@@ -86,7 +86,7 @@ struct BurstReport {
     /// Bake-store counters, captured after shutdown so flush-time store
     /// traffic (and its faults) is included.
     cache: CacheStats,
-    ground_truth: GroundTruthStats,
+    ground_truth: StoreStats,
 }
 
 /// Runs the 8-request burst through a fresh inline service over `store`.
@@ -599,10 +599,16 @@ fn the_watchdog_converts_a_stalled_executor_into_a_failed_outcome() {
     // The first selection invocation stalls forever — a hung executor, not
     // a panic. The watchdog (10 virtual ticks without progress) must settle
     // the ticket so the consumer is never hung.
-    let plan = StageFaultPlan::none().fail_nth(StageOp::Selection, 0, StageFaultMode::Stall);
+    let injector = Arc::new(StageFaultInjector::new(StageFaultPlan::none().fail_nth(
+        StageOp::Selection,
+        0,
+        StageFaultMode::Stall,
+    )));
     let service = DeployService::new(
         ServiceOptions::inline(
-            PipelineOptions::quick().with_worker_threads(2).with_stage_faults(plan),
+            PipelineOptions::quick()
+                .with_worker_threads(2)
+                .with_stage_fault_injector(Arc::clone(&injector)),
         )
         .with_executors(1)
         .with_watchdog_ticks(10)
@@ -615,12 +621,18 @@ fn the_watchdog_converts_a_stalled_executor_into_a_failed_outcome() {
             DeviceSpec::pixel_4(),
         ))
         .expect("valid");
-    // Wait for the executor to claim the request, then let virtual time
-    // pass; the stalled stage never records progress.
-    let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    while service.stats().in_flight < 1 {
-        assert!(std::time::Instant::now() < deadline, "executor never claimed the request");
-        std::thread::sleep(Duration::from_millis(1));
+    // Wait until the executor is parked in the stalled selection stage, then
+    // let virtual time pass. Every stage-boundary progress mark precedes the
+    // stall, so the request is then exactly 100 ticks stale. Advancing any
+    // earlier races those marks: one taken after the advance leaves the
+    // request 0 ticks stale, and the consumer would wait forever.
+    let deadline = std::time::Instant::now() + Duration::from_secs(300);
+    while injector.stats().selection.stalls < 1 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "executor never reached the stalled selection stage"
+        );
+        std::thread::sleep(Duration::from_millis(5));
     }
     clock.advance(100);
     let outcome = service.next_outcome().expect("the watchdog settles the stalled ticket");
