@@ -227,18 +227,6 @@ impl ResilienceStats {
             RemoteHealth::Healthy
         }
     }
-
-    /// Merge another snapshot (summing counters; degraded if either is).
-    pub fn merge(&self, other: &ResilienceStats) -> ResilienceStats {
-        ResilienceStats {
-            remote_ops: self.remote_ops + other.remote_ops,
-            remote_errors: self.remote_errors + other.remote_errors,
-            retries: self.retries + other.retries,
-            degraded_ops: self.degraded_ops + other.degraded_ops,
-            local_errors: self.local_errors + other.local_errors,
-            degraded: self.degraded || other.degraded,
-        }
-    }
 }
 
 /// Process-unique suffix for in-flight temporary files. Unique per call,
@@ -549,11 +537,6 @@ impl SharedBackend {
     pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
         self.policy = policy;
         self
-    }
-
-    /// The local layer's directory.
-    pub fn local_dir(&self) -> &Path {
-        self.local.dir()
     }
 
     /// Current circuit-breaker state of the remote side.

@@ -169,8 +169,7 @@ pub struct CacheStats {
     /// over a warm store must report zero re-extractions.
     pub splat_extractions: usize,
     /// Lookups that waited on another lookup's in-flight bake of the same
-    /// asset instead of duplicating it (0 unless the cache was opened with
-    /// [`StoreOptions::coalesce`] — the deployment service does).
+    /// asset instead of duplicating it.
     pub coalesced: usize,
     /// Distinct (object, configuration) assets currently stored (decoded in
     /// memory or indexed on disk).
@@ -355,11 +354,6 @@ impl BakeCache {
         self.store.options().primary_dir()
     }
 
-    /// The store options this cache was opened with.
-    pub fn store_options(&self) -> &StoreOptions {
-        self.store.options()
-    }
-
     /// Writes every entry baked since the last flush to the backing store,
     /// returning how many entries were written (0 for in-memory or
     /// read-only caches). See [`KeyedStore::flush`] for the concurrency and
@@ -410,11 +404,6 @@ impl BakeCache {
     /// storing it on first request. An entry indexed from the persistent
     /// store is read and decoded here, on its first lookup — outside the
     /// entry lock, so other workers keep hitting the cache meanwhile.
-    ///
-    /// Concurrent misses on the same key may both bake (the lock is not held
-    /// across the bake, deliberately — bakes are long); the result is
-    /// identical either way because baking is deterministic, and only one
-    /// copy is kept.
     pub fn get_or_bake(&self, model: &ObjectModel, config: BakeConfig) -> Arc<BakedAsset> {
         let key = (model_fingerprint(model), config);
         self.store.get_or_build(key, (), || {

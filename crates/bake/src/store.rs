@@ -16,9 +16,10 @@
 //!   its self-validating byte framing. Owns the on-disk format.
 //! * [`StoreBackend`] — *where* entries live: list/read/write-atomic over a
 //!   directory, a memory map, or a local-over-remote layering.
-//! * [`KeyedStore`] — *policy*: lazy indexing, hit/miss accounting, dirty
-//!   tracking, corruption tolerance (a damaged entry costs one rebuild,
-//!   never an error), retention pruning, read-only mode.
+//! * [`KeyedStore`] — *policy*: lazy indexing, single-flight lookups,
+//!   hit/miss accounting, dirty tracking, corruption tolerance (a damaged
+//!   entry costs one rebuild, never an error), retention pruning,
+//!   read-only mode.
 //!
 //! # Determinism
 //!
@@ -258,14 +259,6 @@ pub struct StoreOptions {
     /// and `flush` is a no-op. Lookups (including read-through population of
     /// a shared local layer) work normally; new builds stay in memory.
     pub read_only: bool,
-    /// In-flight dedup: when set, concurrent misses on the same key wait on
-    /// **one** build (a "pending entry") instead of each building their own
-    /// copy. Off by default — the historical contract deliberately allows
-    /// duplicate in-flight builds (builds are deterministic, so duplicates
-    /// only cost time), and some callers rely on every miss really
-    /// building. The deployment service turns this on so a burst of
-    /// duplicate requests pays for each bake exactly once.
-    pub coalesce: bool,
     /// Bounded retry + circuit-breaker policy applied to the remote side of
     /// a [`StoreLocation::Shared`] store (see
     /// [`crate::backend::RetryPolicy`]). Purely local stores ignore it.
@@ -336,14 +329,6 @@ impl StoreOptions {
         self
     }
 
-    /// Returns the options with in-flight dedup set as given (see
-    /// [`StoreOptions::coalesce`]). Nested stores ([`StoreOptions::subdir`])
-    /// inherit the flag.
-    pub fn with_coalescing(mut self, coalesce: bool) -> Self {
-        self.coalesce = coalesce;
-        self
-    }
-
     /// `true` when the options name a persistent layer.
     pub fn is_persistent(&self) -> bool {
         !matches!(self.location, StoreLocation::InMemory)
@@ -381,13 +366,7 @@ impl StoreOptions {
                 StoreLocation::Custom(Arc::new(PrefixedBackend::new(Arc::clone(backend), name)))
             }
         };
-        StoreOptions {
-            location,
-            limits: self.limits,
-            read_only: self.read_only,
-            coalesce: self.coalesce,
-            retry: self.retry,
-        }
+        StoreOptions { location, limits: self.limits, read_only: self.read_only, retry: self.retry }
     }
 
     /// One-line human-readable description (for logs and reports).
@@ -475,8 +454,7 @@ pub struct StoreStats {
     /// Lookups that had to build.
     pub misses: usize,
     /// Lookups that waited on another lookup's in-flight build or decode of
-    /// the same key instead of duplicating it (always 0 unless the store
-    /// was opened with [`StoreOptions::coalesce`]). A coalesced lookup also
+    /// the same key instead of duplicating it. A coalesced lookup also
     /// counts as a hit once the awaited value lands.
     pub coalesced: usize,
     /// Distinct values currently held in memory or indexed on the backend.
@@ -513,9 +491,8 @@ enum Slot<V> {
     /// Indexed from the backend by its (canonical) file name; read and
     /// decoded on first lookup.
     Indexed,
-    /// A coalescing store's in-flight marker: one lookup claimed the build
-    /// (or decode) and every concurrent lookup for the key waits on the
-    /// cell. Never present unless [`StoreOptions::coalesce`] is set.
+    /// The in-flight marker of a miss: one lookup claimed the build (or
+    /// decode) and every concurrent lookup for the key waits on the cell.
     Pending(Arc<PendingCell>),
 }
 
@@ -569,13 +546,13 @@ impl<C: EntryCodec> Drop for PendingGuard<'_, C> {
         if !self.armed {
             return;
         }
+        // An armed guard's slot is still this claim's pending marker: no
+        // other lookup replaces a pending slot.
         let mut entries = lock_valid(&self.store.entries);
-        if matches!(entries.get(&self.key), Some(Slot::Pending(_))) {
-            if self.restore_indexed {
-                entries.insert(self.key, Slot::Indexed);
-            } else {
-                entries.remove(&self.key);
-            }
+        if self.restore_indexed {
+            entries.insert(self.key, Slot::Indexed);
+        } else {
+            entries.remove(&self.key);
         }
         drop(entries);
         self.cell.complete();
@@ -722,14 +699,11 @@ impl<C: EntryCodec> KeyedStore<C> {
     /// decoded here, on its first lookup — outside the entry lock, so
     /// other workers keep hitting the store meanwhile.
     ///
-    /// Concurrent misses on the same key may both build (the lock is not
-    /// held across the build, deliberately — builds are long); the result
-    /// is identical either way because building is deterministic, and only
-    /// one copy is kept. With [`StoreOptions::coalesce`] set, the first
-    /// miss claims the build through a pending entry and concurrent misses
-    /// wait on it instead — one build, every caller shares the result, and
-    /// the waiters count in [`StoreStats::coalesced`]. Either way the
-    /// returned bits are identical; coalescing only changes who pays.
+    /// Lookups are single-flight: the first miss claims the decode or build
+    /// through a pending entry, and concurrent misses on the same key wait
+    /// on it instead of duplicating it — one build, every caller shares the
+    /// result, and the waiters count in [`StoreStats::coalesced`]. Building
+    /// is deterministic, so who pays never changes the returned bits.
     pub fn get_or_build(
         &self,
         key: C::Key,
@@ -737,7 +711,7 @@ impl<C: EntryCodec> KeyedStore<C> {
         build: impl FnOnce() -> C::Value,
     ) -> Arc<C::Value> {
         let mut counted_coalesced = false;
-        let (indexed, pending) = loop {
+        let (indexed, cell) = loop {
             let mut entries = lock_valid(&self.entries);
             let indexed = match entries.get(&key) {
                 Some(Slot::Memory { value, from_disk, .. }) => {
@@ -760,24 +734,17 @@ impl<C: EntryCodec> KeyedStore<C> {
                 Some(Slot::Indexed) => true,
                 None => false,
             };
-            if !self.options.coalesce {
-                break (indexed, None);
-            }
             // Claim the decode/build: concurrent lookups wait on the cell.
             let cell = Arc::new(PendingCell::default());
             entries.insert(key, Slot::Pending(Arc::clone(&cell)));
-            break (indexed, Some(cell));
+            break (indexed, cell);
         };
-        let mut guard = pending.map(|cell| PendingGuard {
-            store: self,
-            key,
-            cell,
-            restore_indexed: indexed,
-            armed: true,
-        });
+        let mut guard =
+            PendingGuard { store: self, key, cell, restore_indexed: indexed, armed: true };
 
         // Decode (or build) outside the lock so other workers keep making
-        // progress during long reads/builds.
+        // progress during long reads/builds. Only this claimant (or its
+        // guard, on unwind) replaces the pending slot.
         if indexed {
             let decoded = self
                 .backend
@@ -786,29 +753,12 @@ impl<C: EntryCodec> KeyedStore<C> {
                 .and_then(|bytes| C::decode(&key, &bytes, ctx));
             if let Some(value) = decoded {
                 self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                let shared = {
-                    let mut entries = lock_valid(&self.entries);
-                    match entries.get(&key) {
-                        // A concurrent lookup decoded (or rebuilt) it first —
-                        // keep that copy, the content is identical either way.
-                        Some(Slot::Memory { value, .. }) => Arc::clone(value),
-                        _ => {
-                            entries.insert(
-                                key,
-                                Slot::Memory {
-                                    value: Arc::clone(&value),
-                                    from_disk: true,
-                                    dirty: false,
-                                },
-                            );
-                            value
-                        }
-                    }
-                };
-                if let Some(guard) = guard.as_mut() {
-                    guard.finish();
-                }
-                return shared;
+                lock_valid(&self.entries).insert(
+                    key,
+                    Slot::Memory { value: Arc::clone(&value), from_disk: true, dirty: false },
+                );
+                guard.finish();
+                return value;
             }
             // Damaged or missing entry: fall through to a rebuild (the next
             // flush overwrites it).
@@ -818,26 +768,10 @@ impl<C: EntryCodec> KeyedStore<C> {
         let started = Instant::now();
         let value = Arc::new(build());
         *lock_valid(&self.build_time) += started.elapsed();
-        let shared = {
-            let mut entries = lock_valid(&self.entries);
-            match entries.get(&key) {
-                // A concurrent lookup finished first — keep its copy
-                // (identical content) so every caller shares one allocation
-                // and a clean disk-loaded entry is not re-marked dirty.
-                Some(Slot::Memory { value, .. }) => Arc::clone(value),
-                _ => {
-                    entries.insert(
-                        key,
-                        Slot::Memory { value: Arc::clone(&value), from_disk: false, dirty: true },
-                    );
-                    value
-                }
-            }
-        };
-        if let Some(guard) = guard.as_mut() {
-            guard.finish();
-        }
-        shared
+        lock_valid(&self.entries)
+            .insert(key, Slot::Memory { value: Arc::clone(&value), from_disk: false, dirty: true });
+        guard.finish();
+        value
     }
 
     /// Writes every value built since the last flush to the backend,
@@ -1035,9 +969,7 @@ mod tests {
 
     #[test]
     fn coalescing_store_builds_each_key_once_under_contention() {
-        let store = Arc::new(
-            TestStore::open(StoreOptions::in_memory().with_coalescing(true)).expect("open"),
-        );
+        let store = Arc::new(TestStore::in_memory());
         let builds = Arc::new(AtomicUsize::new(0));
         let barrier = Arc::new(std::sync::Barrier::new(8));
         let handles: Vec<_> = (0..8)
@@ -1073,9 +1005,7 @@ mod tests {
 
     #[test]
     fn coalescing_claimant_panic_hands_the_build_to_a_waiter() {
-        let store = Arc::new(
-            TestStore::open(StoreOptions::in_memory().with_coalescing(true)).expect("open"),
-        );
+        let store = Arc::new(TestStore::in_memory());
         let attempts = Arc::new(AtomicUsize::new(0));
         let barrier = Arc::new(std::sync::Barrier::new(4));
         let handles: Vec<_> = (0..4)
@@ -1107,13 +1037,11 @@ mod tests {
     }
 
     #[test]
-    fn non_coalescing_store_reports_zero_coalesced() {
+    fn sequential_lookups_never_coalesce() {
         let store = TestStore::in_memory();
         let _ = store.get_or_build(1, (), || payload(1));
         let _ = store.get_or_build(1, (), || payload(1));
         assert_eq!(store.stats().coalesced, 0);
-        assert!(!store.options().coalesce);
-        assert!(StoreOptions::dir("/x").with_coalescing(true).subdir("gt").coalesce);
     }
 
     #[test]

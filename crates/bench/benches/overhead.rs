@@ -131,15 +131,11 @@ fn bench_pipeline_engine(c: &mut Criterion) {
     let mut options = PipelineOptions::quick();
     options.store = nerflex_bench::store_options_from_args();
     let pipeline = NerflexPipeline::new(options);
-    let cache = pipeline.open_cache();
-    let deployment = pipeline
-        .try_run_with_cache(&scene, &dataset, &DeviceSpec::iphone_13(), &cache)
+    let fleet = pipeline
+        .try_deploy_fleet(&scene, &dataset, &[DeviceSpec::iphone_13()])
         .expect("overhead deploy");
-    let run_cache = cache.stats();
-    if let Err(err) = cache.flush() {
-        eprintln!("overhead bench: cache flush failed: {err}");
-    }
-    let t = deployment.timings;
+    let run_cache = fleet.cache;
+    let t = fleet.deployments[0].timings;
     println!(
         "quick pipeline run: cache hits {}/{} | profiler workers {}x{} | \
          parallel speedup {:.2}x | {}",

@@ -73,15 +73,14 @@ fn main() {
         println!("splat family enabled: budget tightened to {budget_mb} MB\n");
     }
     let pipeline = NerflexPipeline::new(options);
-    // Hold the cache for the whole run so the report can distinguish what
-    // this process baked from what a previous process left on disk.
-    let cache = pipeline.open_cache();
-    let deployment =
-        pipeline.try_run_with_cache(&built.scene, &dataset, &iphone, &cache).expect("fig9 deploy");
-    let run_cache = cache.stats();
-    if let Err(err) = cache.flush() {
-        eprintln!("fig9: cache flush failed: {err}");
-    }
+    // The fleet's cache counters cover the whole run, so the report can
+    // distinguish what this process baked from what a previous process left
+    // on disk. The deploy flushes the stores when it finishes.
+    let fleet = pipeline
+        .try_deploy_fleet(&built.scene, &dataset, std::slice::from_ref(&iphone))
+        .expect("fig9 deploy");
+    let run_cache = fleet.cache;
+    let deployment = &fleet.deployments[0];
     let t = deployment.timings;
     let overhead = t.overhead().as_secs_f64();
 

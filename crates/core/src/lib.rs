@@ -75,8 +75,8 @@ pub use fault::{
     StageFaultInjector, StageFaultMode, StageFaultPanic, StageFaultPlan, StageFaultStats, StageOp,
 };
 pub use pipeline::{
-    FleetDeployment, FleetStageRuns, NerflexDeployment, NerflexPipeline, PipelineError,
-    PipelineOptions, StageTimings,
+    FleetDeployment, NerflexDeployment, NerflexPipeline, PipelineError, PipelineOptions,
+    StageTimings,
 };
 pub use service::{
     CompletedDeploy, DeployOutcome, DeployRequest, DeployService, DeployTicket, DrainPolicy,

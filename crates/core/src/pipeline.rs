@@ -501,21 +501,6 @@ impl NerflexDeployment {
     }
 }
 
-/// How many times each stage executed during a fleet deployment. The shared
-/// stages (segmentation, profiling) run once regardless of fleet size; the
-/// per-budget stages run once per device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FleetStageRuns {
-    /// Segmentation executions.
-    pub segmentation: usize,
-    /// Profiling executions.
-    pub profiling: usize,
-    /// Selection executions (one per device).
-    pub selection: usize,
-    /// Baking executions (one per device, incremental through the cache).
-    pub baking: usize,
-}
-
 /// The output of [`NerflexPipeline::try_deploy_fleet`]: one deployment per
 /// device, produced from a single segmentation + profiling pass and a shared
 /// bake cache.
@@ -523,10 +508,13 @@ pub struct FleetStageRuns {
 pub struct FleetDeployment {
     /// One deployment per requested device, in input order.
     pub deployments: Vec<NerflexDeployment>,
-    /// How many times each stage ran (segmentation and profiling: once).
-    pub stage_runs: FleetStageRuns,
+    /// How many times the shared stages (segmentation + profiling) ran:
+    /// once per fleet, whatever its size. Selection and baking run once per
+    /// deployment.
+    pub shared_stage_runs: usize,
     /// Final counters of the bake cache shared across profiling and every
-    /// device's baking stage.
+    /// device's baking stage, over the whole run (including the entries
+    /// indexed from a persistent store when it was opened).
     pub cache: CacheStats,
 }
 
@@ -570,20 +558,11 @@ impl NerflexPipeline {
     }
 
     /// Opens the bake cache this pipeline's options call for: the store
-    /// named by [`PipelineOptions::store`] when persistent (falling back to
-    /// an in-memory cache if the backing store is unusable), an in-memory
-    /// cache otherwise. Callers that hold the cache across runs pair this
-    /// with [`BakeCache::flush`]; [`NerflexPipeline::try_run`] and
-    /// [`NerflexPipeline::try_deploy_fleet`] do both automatically.
-    pub fn open_cache(&self) -> BakeCache {
-        if !self.options.store.is_persistent() {
-            // In-memory open cannot fail; going through `open` (rather than
-            // `new`) preserves non-location options such as coalescing.
-            if let Ok(cache) = BakeCache::open(&self.options.store) {
-                return cache;
-            }
-            return BakeCache::new();
-        }
+    /// named by [`PipelineOptions::store`], falling back to an in-memory
+    /// cache if the backing store is unusable (in-memory options cannot
+    /// fail to open). The deployment service holds it for its lifetime and
+    /// flushes it on shutdown.
+    pub(crate) fn open_cache(&self) -> BakeCache {
         BakeCache::open(&self.options.store).unwrap_or_else(|err| {
             eprintln!(
                 "nerflex: bake store [{}] unusable ({err}); continuing in-memory",
@@ -610,17 +589,11 @@ impl NerflexPipeline {
     }
 
     /// Opens the ground-truth store this pipeline's options call for: the
-    /// `ground-truth/` child of [`PipelineOptions::store`] when persistent
-    /// (falling back to in-memory if the backing store is unusable), an
-    /// in-memory cache otherwise. Cached and freshly rendered ground truths
-    /// are bit-identical, so this is purely a cost optimisation.
-    pub fn open_ground_truth_cache(&self) -> GroundTruthCache {
-        if !self.options.store.is_persistent() {
-            if let Ok(cache) = GroundTruthCache::open(self.options.store.subdir("ground-truth")) {
-                return cache;
-            }
-            return GroundTruthCache::new();
-        }
+    /// `ground-truth/` child of [`PipelineOptions::store`], falling back to
+    /// in-memory if the backing store is unusable. Cached and freshly
+    /// rendered ground truths are bit-identical, so this is purely a cost
+    /// optimisation.
+    pub(crate) fn open_ground_truth_cache(&self) -> GroundTruthCache {
         let options = self.options.store.subdir("ground-truth");
         GroundTruthCache::open(&options).unwrap_or_else(|err| {
             eprintln!(
@@ -639,16 +612,17 @@ impl NerflexPipeline {
     /// level collapses to the bit-for-bit sequential path. Sample bakes land
     /// in `cache`; ground truths land in (and come from) the shared
     /// [`GroundTruthCache`], so duplicate objects and warm persistent stores
-    /// skip the dominant ray-marching cost entirely. Returns the profiles,
-    /// the wall time, the serial-equivalent time (sum of per-object
-    /// durations), the outer/inner worker counts used and the ground-truth
-    /// accounting (render time, builds, hits).
+    /// skip the dominant ray-marching cost entirely. Returns the profiles
+    /// and the profiling fields of [`StageTimings`]: the wall time, the
+    /// serial-equivalent time (sum of per-object durations), the
+    /// outer/inner worker counts used, the ground-truth and metrics
+    /// accounting and the pool counters.
     fn stage_profiling(
         &self,
         scene: &Scene,
         cache: &BakeCache,
         ground_truth: &GroundTruthCache,
-    ) -> (Vec<ObjectProfile>, SharedStages) {
+    ) -> (Vec<ObjectProfile>, StageTimings) {
         self.stage_gate(StageOp::Profiling);
         let t = Instant::now();
         let workers = self.workers_for(scene.len());
@@ -681,8 +655,7 @@ impl NerflexPipeline {
         let pool_after = self.options.pool.stats();
         (
             profiles,
-            SharedStages {
-                segmentation: Duration::ZERO, // filled in by shared_stages
+            StageTimings {
                 profiling: t.elapsed(),
                 profiling_serial: serial,
                 profiling_workers: workers,
@@ -695,6 +668,7 @@ impl NerflexPipeline {
                 metrics_evaluations: metrics_accounting.evaluations(),
                 pool_dispatches: pool_after.dispatches - pool_before.dispatches,
                 pool_jobs: pool_after.jobs - pool_before.jobs,
+                ..StageTimings::default()
             },
         )
     }
@@ -742,33 +716,17 @@ impl NerflexPipeline {
         (assets, t.elapsed(), delta, workers)
     }
 
-    /// Runs segmentation → profiling against `cache` and packages the shared
-    /// stage outputs. The ground-truth store is opened before profiling and
-    /// flushed afterwards (persistence is best-effort, like the bake store).
-    fn shared_stages(
-        &self,
-        scene: &Scene,
-        dataset: &Dataset,
-        cache: &BakeCache,
-    ) -> (Arc<SegmentationResult>, Arc<Vec<ObjectProfile>>, SharedStages) {
-        let ground_truth = self.open_ground_truth_cache();
-        let result = self.shared_stages_with(scene, dataset, cache, &ground_truth);
-        if let Err(err) = ground_truth.flush() {
-            eprintln!("nerflex: ground-truth flush failed ({err}); next run re-renders");
-        }
-        result
-    }
-
-    /// [`NerflexPipeline::shared_stages`] against a caller-owned
-    /// ground-truth cache — the deployment service holds one cache across
-    /// its whole lifetime instead of opening and flushing per request.
-    pub(crate) fn shared_stages_with(
+    /// Runs segmentation → profiling against the service-owned stores and
+    /// packages the shared stage outputs. The returned [`StageTimings`]
+    /// carries the shared-stage fields only; [`NerflexPipeline::deploy_budget`]
+    /// fills in selection and baking.
+    pub(crate) fn shared_stages(
         &self,
         scene: &Scene,
         dataset: &Dataset,
         cache: &BakeCache,
         ground_truth: &GroundTruthCache,
-    ) -> (Arc<SegmentationResult>, Arc<Vec<ObjectProfile>>, SharedStages) {
+    ) -> (Arc<SegmentationResult>, Arc<Vec<ObjectProfile>>, StageTimings) {
         let (segmentation, segmentation_time) = self.stage_segmentation(dataset);
         let (profiles, mut shared) = self.stage_profiling(scene, cache, ground_truth);
         shared.segmentation = segmentation_time;
@@ -806,11 +764,12 @@ impl NerflexPipeline {
     /// [`BakeCache`]: the persistent store when [`PipelineOptions::store`]
     /// names one (opened before the run, flushed after, so bakes are shared
     /// across processes — and machines, for shared backends), a per-run
-    /// in-memory cache otherwise. Use [`NerflexPipeline::try_run_with_cache`]
-    /// to manage the cache yourself, [`NerflexPipeline::try_deploy_fleet`] to
-    /// amortise the shared stages over many devices, and
+    /// in-memory cache otherwise. Use [`NerflexPipeline::try_deploy_fleet`]
+    /// to amortise the shared stages over many devices, and
     /// [`crate::service::DeployService`] — which this delegates to — for a
-    /// long-running request stream.
+    /// long-running request stream (one open service re-deploys at another
+    /// budget, [`crate::service::DeployRequest::with_budget_mb`], without
+    /// re-baking or re-profiling).
     ///
     /// # Errors
     ///
@@ -823,28 +782,6 @@ impl NerflexPipeline {
     ) -> Result<NerflexDeployment, PipelineError> {
         let fleet = self.try_deploy_fleet(scene, dataset, std::slice::from_ref(device))?;
         Ok(fleet.deployments.into_iter().next().expect("one device yields one deployment"))
-    }
-
-    /// [`NerflexPipeline::try_run`] against a caller-owned [`BakeCache`], so
-    /// sample and final bakes persist across pipeline runs (e.g. re-deploying
-    /// after a budget change re-bakes nothing that was already baked). This
-    /// is the direct engine path — the borrowed cache keeps it off the
-    /// service queue.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`PipelineError`] when the scene or dataset is empty.
-    pub fn try_run_with_cache(
-        &self,
-        scene: &Scene,
-        dataset: &Dataset,
-        device: &DeviceSpec,
-        cache: &BakeCache,
-    ) -> Result<NerflexDeployment, PipelineError> {
-        Self::validate_inputs(scene, dataset)?;
-        let budget_mb = self.resolve_budget_mb(None, device)?;
-        let (segmentation, profiles, shared) = self.shared_stages(scene, dataset, cache);
-        Ok(self.deploy_budget(scene, device, budget_mb, &segmentation, &profiles, cache, shared))
     }
 
     /// Prepares one scene for a whole fleet of devices, amortising the
@@ -898,16 +835,7 @@ impl NerflexPipeline {
         for outcome in outcomes {
             deployments.push(outcome.into_success()?.deployment);
         }
-        Ok(FleetDeployment {
-            stage_runs: FleetStageRuns {
-                segmentation: stats.shared_stage_runs,
-                profiling: stats.shared_stage_runs,
-                selection: deployments.len(),
-                baking: deployments.len(),
-            },
-            cache,
-            deployments,
-        })
+        Ok(FleetDeployment { deployments, shared_stage_runs: stats.shared_stage_runs, cache })
     }
 
     /// The per-budget tail of the pipeline (selection + baking) over shared
@@ -916,7 +844,8 @@ impl NerflexPipeline {
     /// data and the profiles. `budget_mb` is resolved by the caller
     /// ([`NerflexPipeline::resolve_budget_mb`]) so per-request overrides
     /// flow through [`crate::service::DeployRequest`] instead of the
-    /// options.
+    /// options. The deployment's timings are `shared` with the selection
+    /// and baking fields filled in.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn deploy_budget(
         &self,
@@ -926,7 +855,7 @@ impl NerflexPipeline {
         segmentation: &Arc<SegmentationResult>,
         profiles: &Arc<Vec<ObjectProfile>>,
         cache: &BakeCache,
-        shared: SharedStages,
+        shared: StageTimings,
     ) -> NerflexDeployment {
         let (selection, selection_time) = self.stage_selection(profiles, budget_mb);
         let (assets, baking_time, cache_delta, baking_workers) =
@@ -940,47 +869,17 @@ impl NerflexPipeline {
             selection,
             assets,
             timings: StageTimings {
-                segmentation: shared.segmentation,
-                profiling: shared.profiling,
-                profiling_serial: shared.profiling_serial,
-                ground_truth: shared.ground_truth,
                 selection: selection_time,
                 baking: baking_time,
-                profiling_workers: shared.profiling_workers,
-                profiling_sample_workers: shared.profiling_sample_workers,
-                ground_truth_builds: shared.ground_truth_builds,
-                ground_truth_hits: shared.ground_truth_hits,
-                metrics: shared.metrics,
-                metrics_evaluations: shared.metrics_evaluations,
-                pool_dispatches: shared.pool_dispatches,
-                pool_jobs: shared.pool_jobs,
                 baking_workers,
                 cache_hits: cache_delta.hits,
                 cache_disk_hits: cache_delta.disk_hits,
                 cache_misses: cache_delta.misses,
                 splat_extractions: cache_delta.splat_extractions,
+                ..shared
             },
         }
     }
-}
-
-/// Timings of the device-independent stages, shared by every deployment a
-/// fleet run produces (and, through the service's scene-level coalescing,
-/// by every request that shared one segmentation + profiling run).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SharedStages {
-    segmentation: Duration,
-    profiling: Duration,
-    profiling_serial: Duration,
-    profiling_workers: usize,
-    profiling_sample_workers: usize,
-    ground_truth: Duration,
-    ground_truth_builds: usize,
-    ground_truth_hits: usize,
-    metrics: Duration,
-    metrics_evaluations: usize,
-    pool_dispatches: u64,
-    pool_jobs: u64,
 }
 
 impl Default for NerflexPipeline {
@@ -1084,12 +983,12 @@ mod tests {
         // Two instances of the same canonical object share one content
         // fingerprint: the profiling stage must render the ray-marched
         // ground truth once and serve the second profile from the cache.
-        // One worker keeps the two profiles sequential — with a parallel
-        // fan-out both could miss concurrently (the cache deliberately
-        // allows duplicate in-flight builds) and the count would be 2.
+        // Two workers profile both instances in parallel, so their lookups
+        // can miss concurrently: the store's single-flight lookup makes the
+        // second one wait on the first render instead of rendering again.
         let scene = Scene::with_objects(&[CanonicalObject::Hotdog, CanonicalObject::Hotdog], 13);
         let dataset = Dataset::generate(&scene, 3, 1, 48, 48);
-        let pipeline = NerflexPipeline::new(PipelineOptions::quick().with_worker_threads(1));
+        let pipeline = NerflexPipeline::new(PipelineOptions::quick().with_worker_threads(2));
         let deployment =
             pipeline.try_run(&scene, &dataset, &DeviceSpec::pixel_4()).expect("deploy");
         let t = deployment.timings;
@@ -1133,19 +1032,36 @@ mod tests {
     }
 
     #[test]
-    fn run_with_cache_reuses_assets_across_runs() {
+    fn a_warm_repeat_request_rebakes_nothing() {
         let (scene, dataset) = small_scene_and_dataset();
-        let device = DeviceSpec::pixel_4();
-        let cache = BakeCache::new();
-        let pipeline = NerflexPipeline::new(PipelineOptions::quick());
-        let first = pipeline.try_run_with_cache(&scene, &dataset, &device, &cache).expect("deploy");
-        let second =
-            pipeline.try_run_with_cache(&scene, &dataset, &device, &cache).expect("deploy");
-        // The second run re-profiles against a warm cache: every sample bake
-        // and every final bake is a hit.
-        assert_eq!(second.timings.cache_misses, 0, "warm cache must re-bake nothing");
-        assert_eq!(second.timings.cache_hits, scene.len());
-        assert_eq!(first.workload().total_quads, second.workload().total_quads);
+        let scene = Arc::new(scene);
+        let dataset = Arc::new(dataset);
+        let service = crate::service::DeployService::new(crate::service::ServiceOptions::inline(
+            PipelineOptions::quick(),
+        ));
+        let deploy = || {
+            service
+                .submit(crate::service::DeployRequest::new(
+                    Arc::clone(&scene),
+                    Arc::clone(&dataset),
+                    DeviceSpec::pixel_4(),
+                ))
+                .expect("valid request");
+            service.next_outcome().expect("one outcome").into_success().expect("success")
+        };
+        let first = deploy();
+        let second = deploy();
+        // The repeat rides the resident shared stages and the warm bake
+        // cache: every final bake is a hit.
+        assert!(!first.coalesced);
+        assert!(second.coalesced, "the repeat must reuse the resident shared stages");
+        assert_eq!(second.deployment.timings.cache_misses, 0, "warm cache must re-bake nothing");
+        assert_eq!(second.deployment.timings.cache_hits, scene.len());
+        assert_eq!(first.deployment_fingerprint, second.deployment_fingerprint);
+        assert_eq!(
+            first.deployment.workload().total_quads,
+            second.deployment.workload().total_quads
+        );
     }
 
     #[test]
@@ -1199,12 +1115,8 @@ mod tests {
             .try_deploy_fleet(&scene, &dataset, &devices)
             .expect("fleet deploy");
 
-        // Segmentation and profiling ran exactly once for the whole fleet;
-        // selection and baking ran once per device.
-        assert_eq!(fleet.stage_runs.segmentation, 1);
-        assert_eq!(fleet.stage_runs.profiling, 1);
-        assert_eq!(fleet.stage_runs.selection, 2);
-        assert_eq!(fleet.stage_runs.baking, 2);
+        // Segmentation and profiling ran exactly once for the whole fleet.
+        assert_eq!(fleet.shared_stage_runs, 1);
 
         assert_eq!(fleet.deployments.len(), 2);
         assert!(fleet.for_device("iPhone 13").is_some());
@@ -1243,11 +1155,6 @@ mod tests {
         assert_eq!(
             pipeline.try_deploy_fleet(&scene, &dataset, &[]).err(),
             Some(PipelineError::EmptyFleet)
-        );
-        let cache = BakeCache::new();
-        assert_eq!(
-            pipeline.try_run_with_cache(&empty_scene, &dataset, &device, &cache).err(),
-            Some(PipelineError::EmptyScene)
         );
     }
 

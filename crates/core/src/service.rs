@@ -15,10 +15,11 @@
 //!   builds; concurrent requests wait on the cell — contributing to the
 //!   builder's pool batches via [`WorkerPool::wait_until`] instead of
 //!   sleeping — and reuse the `Arc`-shared outputs.
-//! * **In-flight dedup by content fingerprint** — the service opens its
-//!   stores with [`StoreOptions::coalesce`], so two concurrent requests
-//!   needing the same bake or ground truth wait on one in-flight
-//!   computation, keyed by the same fingerprints the stores already use.
+//! * **In-flight dedup by content fingerprint** — every store lookup is
+//!   single-flight ([`nerflex_bake::KeyedStore::get_or_build`]), so two
+//!   concurrent requests needing the same bake or ground truth wait on one
+//!   in-flight computation, keyed by the same fingerprints the stores
+//!   already use. The service opens its stores like any other caller.
 //! * **Priority + warm-cache-first ordering** — the queue pops the highest
 //!   priority first, prefers requests whose scene's shared stages are
 //!   already resident (they complete without paying the expensive stages),
@@ -53,7 +54,7 @@
 
 use crate::clock::{Clock, WallClock};
 use crate::pipeline::{
-    NerflexDeployment, NerflexPipeline, PipelineError, PipelineOptions, SharedStages,
+    NerflexDeployment, NerflexPipeline, PipelineError, PipelineOptions, StageTimings,
 };
 use nerflex_bake::{model_fingerprint, BakeCache, CacheStats, Fnv1a, StoreStats};
 use nerflex_device::DeviceSpec;
@@ -140,8 +141,8 @@ impl DeployRequest {
         self
     }
 
-    /// Sets an absolute deadline in ticks of the service's
-    /// [`Clock`](crate::clock::Clock) ([`ServiceOptions::with_clock`]).
+    /// Sets an absolute deadline in ticks of the service's [`Clock`]
+    /// ([`ServiceOptions::with_clock`]).
     /// A request whose deadline has already passed at admission settles
     /// immediately as a failed outcome; a request whose deadline passes
     /// mid-flight aborts at the next pipeline stage boundary. Either way the
@@ -343,8 +344,6 @@ pub enum DrainPolicy {
 #[derive(Debug, Clone)]
 pub struct ServiceOptions {
     /// Engine options (stores, pool, worker budget, profiler, selector).
-    /// The service re-opens the stores with in-flight dedup
-    /// ([`nerflex_bake::StoreOptions::coalesce`]) enabled.
     pub pipeline: PipelineOptions,
     /// Executor threads draining the queue. `0` is *inline mode*: no
     /// background threads — requests are processed on whichever thread
@@ -441,18 +440,19 @@ impl Default for ServiceOptions {
 
 /// The outputs of one shared-stage (segmentation + profiling) run, shared
 /// by reference count across every request that coalesced onto it.
+/// `shared` carries the shared-stage fields of [`StageTimings`] only.
 #[derive(Clone)]
 struct SharedOutputs {
     segmentation: Arc<SegmentationResult>,
     profiles: Arc<Vec<ObjectProfile>>,
-    shared: SharedStages,
+    shared: StageTimings,
 }
 
 /// Per-scene coalescing cell: the first request claims the build, everyone
-/// else waits on the cell.
+/// else polls the state while helping the pool
+/// ([`WorkerPool::wait_until`]).
 struct StageCell {
     state: Mutex<StageState>,
-    cond: Condvar,
 }
 
 enum StageState {
@@ -460,13 +460,14 @@ enum StageState {
     Idle,
     /// A request is running segmentation + profiling right now.
     Building,
-    /// Outputs resident; every subsequent request reuses them.
-    Ready(SharedOutputs),
+    /// Outputs resident; every subsequent request reuses them. Boxed: the
+    /// timings would make this variant far larger than the other two.
+    Ready(Box<SharedOutputs>),
 }
 
 impl StageCell {
     fn new() -> Self {
-        Self { state: Mutex::new(StageState::Idle), cond: Condvar::new() }
+        Self { state: Mutex::new(StageState::Idle) }
     }
 
     /// `true` when the cell's outputs are resident (the "warm" half of the
@@ -649,8 +650,8 @@ impl ServiceShared {
     /// Lifecycle aborts leave the cell in a consistent state: a *waiter*
     /// that gives up never touched the cell, so the builder (and every
     /// other waiter) is unaffected; a *claimant* that aborts before
-    /// building rolls the cell back to Idle and wakes the waiters so one of
-    /// them re-claims, exactly like the panic path.
+    /// building rolls the cell back to Idle so a polling waiter re-claims,
+    /// exactly like the panic path.
     fn acquire_stages(
         &self,
         job: &Queued,
@@ -667,7 +668,7 @@ impl ServiceShared {
             {
                 let mut state = cell.state.lock().expect("stage cell poisoned");
                 match &*state {
-                    StageState::Ready(outputs) => return Ok((outputs.clone(), true)),
+                    StageState::Ready(outputs) => return Ok((SharedOutputs::clone(outputs), true)),
                     StageState::Idle => {
                         *state = StageState::Building;
                         break;
@@ -696,36 +697,30 @@ impl ServiceShared {
         // aborting here must roll the cell back so a coalesced waiter
         // re-claims instead of waiting forever on a build nobody is running.
         if let Err(error) = self.lifecycle_check(job, flight) {
-            let mut state = cell.state.lock().expect("stage cell poisoned");
-            *state = StageState::Idle;
-            drop(state);
-            cell.cond.notify_all();
+            *cell.state.lock().expect("stage cell poisoned") = StageState::Idle;
             return Err(error);
         }
-        // A panic likewise rolls the cell back to Idle and wakes the
-        // waiters so one of them re-claims.
+        // A panic likewise rolls the cell back to Idle so a waiter
+        // re-claims.
         let built = catch_unwind(AssertUnwindSafe(|| {
-            self.pipeline.shared_stages_with(
+            self.pipeline.shared_stages(
                 &job.request.scene,
                 &job.request.dataset,
                 &self.cache,
                 &self.ground_truth,
             )
         }));
-        let mut state = cell.state.lock().expect("stage cell poisoned");
         match built {
             Ok((segmentation, profiles, shared)) => {
                 let outputs = SharedOutputs { segmentation, profiles, shared };
-                *state = StageState::Ready(outputs.clone());
-                drop(state);
-                cell.cond.notify_all();
+                *cell.state.lock().expect("stage cell poisoned") =
+                    StageState::Ready(Box::new(outputs.clone()));
                 self.shared_stage_runs.fetch_add(1, Ordering::Relaxed);
                 Ok((outputs, false))
             }
             Err(payload) => {
-                *state = StageState::Idle;
-                drop(state);
-                cell.cond.notify_all();
+                // The lock is released before unwinding, so it is not poisoned.
+                *cell.state.lock().expect("stage cell poisoned") = StageState::Idle;
                 resume_unwind(payload);
             }
         }
@@ -979,12 +974,10 @@ impl std::fmt::Debug for DeployService {
 }
 
 impl DeployService {
-    /// Starts a service: opens the stores (with in-flight dedup enabled)
-    /// and spawns the executor threads (`options.executors`; 0 = inline).
+    /// Starts a service: opens the stores and spawns the executor threads
+    /// (`options.executors`; 0 = inline).
     pub fn new(options: ServiceOptions) -> Self {
-        let mut pipeline_options = options.pipeline;
-        pipeline_options.store = pipeline_options.store.with_coalescing(true);
-        let pipeline = NerflexPipeline::new(pipeline_options);
+        let pipeline = NerflexPipeline::new(options.pipeline);
         let cache = pipeline.open_cache();
         let ground_truth = pipeline.open_ground_truth_cache();
         let shared = Arc::new(ServiceShared {
@@ -1290,8 +1283,7 @@ impl DeployService {
         self.shared.ground_truth.stats()
     }
 
-    /// The engine options the service runs with (stores re-opened with
-    /// coalescing enabled).
+    /// The engine options the service runs with.
     pub fn pipeline_options(&self) -> &PipelineOptions {
         self.shared.pipeline.options()
     }

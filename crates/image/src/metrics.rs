@@ -11,7 +11,7 @@
 //! by a **fused** engine instead of independent full-image walks:
 //!
 //! * [`quality_metrics`] produces MSE, PSNR and SSIM from **one traversal**:
-//!   the image is cut into fixed-height row tiles ([`TILE_ROWS`]), each tile
+//!   the image is cut into fixed-height row tiles (`TILE_ROWS`), each tile
 //!   accumulates its squared-error partial and its SSIM window partials
 //!   (window statistics come from per-band **column sums** — one pass over
 //!   the band's rows — rather than re-reading every 8×8 window from

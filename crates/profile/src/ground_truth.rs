@@ -249,11 +249,6 @@ impl GroundTruthCache {
     /// store is read and decoded here, on its first lookup — outside the
     /// entry lock, so other profiling workers keep making progress during
     /// long reads/builds.
-    ///
-    /// Concurrent misses on the same key may both render (the lock is not
-    /// held across the render, deliberately — renders are long); the result
-    /// is identical either way because rendering is deterministic, and only
-    /// one copy is kept.
     pub fn get_or_build(
         &self,
         model: &ObjectModel,

@@ -124,10 +124,10 @@ pub fn trace(scene: &Scene, boxes: &[Aabb], ray: &Ray, max_distance: f32) -> Opt
 /// active lane's result is **bit-identical** to [`trace`] on that ray: the
 /// per-step positions, distances and termination decisions use the exact
 /// scalar operations lane by lane, and hit resolution runs through the
-/// packetised [`Sdf::normal_x4`] — lanes that hit the same object share six
+/// packetised [`Sdf::normal_x4`](crate::sdf::Sdf::normal_x4) — lanes that hit the same object share six
 /// packet distance evaluations instead of paying six scalar evaluations
 /// each, and every lane's normal is bit-identical to the scalar
-/// [`Sdf::normal`] at its hit point. Rays terminate independently; the
+/// [`Sdf::normal`](crate::sdf::Sdf::normal) at its hit point. Rays terminate independently; the
 /// packet keeps stepping until every lane has hit, escaped or exhausted its
 /// step budget.
 pub fn trace_packet(

@@ -180,10 +180,9 @@ fn main() {
     );
 
     println!(
-        "fleet preparation: segmentation x{}, profiling x{}, selection x{}, bake cache {}",
-        fleet.stage_runs.segmentation,
-        fleet.stage_runs.profiling,
-        fleet.stage_runs.selection,
+        "fleet preparation: segmentation + profiling x{}, selection x{}, bake cache {}",
+        fleet.shared_stage_runs,
+        fleet.deployments.len(),
         fleet.cache,
     );
     println!(

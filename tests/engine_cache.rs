@@ -59,9 +59,7 @@ fn fleet_deployment_runs_shared_stages_once_and_reuses_bakes() {
         .try_deploy_fleet(&scene, &dataset, &devices)
         .expect("fleet deploy");
 
-    assert_eq!(fleet.stage_runs.segmentation, 1, "segmentation must run once per fleet");
-    assert_eq!(fleet.stage_runs.profiling, 1, "profiling must run once per fleet");
-    assert_eq!(fleet.stage_runs.selection, devices.len());
+    assert_eq!(fleet.shared_stage_runs, 1, "segmentation + profiling must run once per fleet");
     assert_eq!(fleet.deployments.len(), devices.len());
 
     // Every deployment respects its own device's budget.

@@ -75,27 +75,28 @@ fn flushed_cache_renders_byte_identically_after_reopen() {
 #[test]
 fn second_process_over_flushed_dir_rebakes_nothing() {
     // The acceptance criterion: a second pipeline "process" (a fresh
-    // NerflexPipeline + a reopened cache — nothing shared in memory) over
-    // the same cache dir performs zero re-bakes for identical
-    // (fingerprint, config) pairs, across profiling AND final baking.
+    // NerflexPipeline whose deploy reopens the store — nothing shared in
+    // memory) over the same cache dir performs zero re-bakes for identical
+    // (fingerprint, config) pairs, across profiling AND final baking. Each
+    // deploy flushes the store when it finishes.
     let tmp = TempDir::new("second-process");
     let (scene, dataset) = small_setup();
-    let device = DeviceSpec::iphone_13();
+    let devices = [DeviceSpec::iphone_13()];
     let options = PipelineOptions::quick().with_cache_dir(&tmp.0);
 
-    let first = NerflexPipeline::new(options.clone());
-    let cache = first.open_cache();
-    assert_eq!(cache.stats().loaded_from_disk, 0, "first run starts cold");
-    let d1 = first.try_run_with_cache(&scene, &dataset, &device, &cache).expect("deploy");
-    let baked_first = cache.stats().misses;
+    let first = NerflexPipeline::new(options.clone())
+        .try_deploy_fleet(&scene, &dataset, &devices)
+        .expect("deploy");
+    assert_eq!(first.cache.loaded_from_disk, 0, "first run starts cold");
+    let baked_first = first.cache.misses;
     assert!(baked_first > 0, "a cold run must bake");
-    cache.flush().expect("flush");
+    let d1 = &first.deployments[0];
 
-    let second = NerflexPipeline::new(options);
-    let cache2 = second.open_cache();
-    assert_eq!(cache2.stats().loaded_from_disk, baked_first, "every bake persisted");
-    let d2 = second.try_run_with_cache(&scene, &dataset, &device, &cache2).expect("deploy");
-    let stats = cache2.stats();
+    let second =
+        NerflexPipeline::new(options).try_deploy_fleet(&scene, &dataset, &devices).expect("deploy");
+    assert_eq!(second.cache.loaded_from_disk, baked_first, "every bake persisted");
+    let d2 = &second.deployments[0];
+    let stats = second.cache;
     assert_eq!(stats.misses, 0, "second process must re-bake nothing: {stats}");
     assert!(stats.disk_hits > 0, "second process must reuse persisted bakes: {stats}");
     // The final baking stage reports its reuse as disk hits, separately
@@ -115,13 +116,13 @@ fn second_process_over_flushed_dir_rebakes_nothing() {
     let sizes = |d: &nerflex::core::pipeline::NerflexDeployment| {
         d.assets.iter().map(|a| a.size_bytes()).collect::<Vec<_>>()
     };
-    assert_eq!(sizes(&d1), sizes(&d2));
+    assert_eq!(sizes(d1), sizes(d2));
 }
 
 #[test]
 fn engine_owned_runs_persist_automatically() {
-    // `run` (no caller-owned cache) opens and flushes the persistent store
-    // itself when cache_dir is set: the second run sees only disk hits.
+    // `try_run` opens and flushes the persistent store itself when
+    // cache_dir is set: the second run sees only disk hits.
     let tmp = TempDir::new("engine-owned");
     let (scene, dataset) = small_setup();
     let device = DeviceSpec::pixel_4();
@@ -168,23 +169,22 @@ fn corrupted_entries_degrade_to_rebakes_not_failures() {
     // The lazy index keys on file names, so the damaged entries still index
     // (the zero-byte file's name does not parse and is ignored); the damage
     // surfaces at first lookup, silently re-bakes, and the run still
-    // produces the same deployment as the pristine one.
-    let cache = pipeline.open_cache();
-    assert_eq!(cache.stats().loaded_from_disk, files.len(), "index is by file name");
-    let recovered = pipeline.try_run_with_cache(&scene, &dataset, &device, &cache).expect("deploy");
-    assert_eq!(cache.stats().misses, 2, "exactly the damaged entries re-bake");
-    cache.flush().expect("repair flush");
+    // produces the same deployment as the pristine one. The deploy's closing
+    // flush writes the repaired entries back.
+    let devices = std::slice::from_ref(&device);
+    let recovered = pipeline.try_deploy_fleet(&scene, &dataset, devices).expect("deploy");
+    assert_eq!(recovered.cache.loaded_from_disk, files.len(), "index is by file name");
+    assert_eq!(recovered.cache.misses, 2, "exactly the damaged entries re-bake");
+    let recovered = &recovered.deployments[0];
     for (a, b) in baseline.selection.assignments.iter().zip(&recovered.selection.assignments) {
         assert_eq!(a.config, b.config);
     }
     assert_eq!(baseline.workload().total_quads, recovered.workload().total_quads);
 
     // A further run sees a fully repaired store.
-    let repaired_cache = pipeline.open_cache();
-    assert_eq!(repaired_cache.stats().loaded_from_disk, files.len());
-    let _ =
-        pipeline.try_run_with_cache(&scene, &dataset, &device, &repaired_cache).expect("deploy");
-    assert_eq!(repaired_cache.stats().misses, 0, "flush must repair the damage");
+    let repaired = pipeline.try_deploy_fleet(&scene, &dataset, devices).expect("deploy");
+    assert_eq!(repaired.cache.loaded_from_disk, files.len());
+    assert_eq!(repaired.cache.misses, 0, "flush must repair the damage");
 }
 
 #[test]
