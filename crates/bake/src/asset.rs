@@ -2,11 +2,11 @@
 //! device, with exact size accounting.
 
 use crate::atlas::TextureAtlas;
-use crate::config::{BakeConfig, BakeFamily};
+use crate::config::BakeConfig;
 use crate::mesh::QuadMesh;
 use crate::mlp::TinyMlp;
 use crate::splat::SplatCloud;
-use crate::voxel::VoxelGrid;
+use crate::surface::BakeSurface;
 use nerflex_math::pool::{default_workers, parallel_map};
 use nerflex_math::{Aabb, Vec3};
 use nerflex_scene::object::ObjectModel;
@@ -88,6 +88,18 @@ const QUAD_BYTES: usize = 16;
 const DEFAULT_MLP_BYTES: usize = 435 * 4;
 
 impl BakedAsset {
+    /// The asset with `object`'s instance id and placement stamped on (the
+    /// bake itself stays in the object's local frame).
+    pub(crate) fn placed_as(mut self, object: &PlacedObject) -> Self {
+        self.object_id = object.id;
+        self.placement = Placement {
+            translation: object.translation,
+            scale: object.scale,
+            rotation_y: object.rotation_y,
+        };
+        self
+    }
+
     /// Geometry size in bytes (vertex buffer + index buffer).
     pub fn mesh_size_bytes(&self) -> usize {
         self.mesh.vertex_count() * VERTEX_BYTES + self.mesh.quad_count() * QUAD_BYTES
@@ -155,61 +167,16 @@ impl BakedAsset {
     }
 }
 
-/// Bakes a standalone object (in its local frame) at the given configuration.
+/// Bakes a standalone object (in its local frame) at the given configuration:
+/// the batch-of-one case of building the config's [`BakeSurface`] and
+/// finishing the bake from it.
 pub fn bake_object(model: &ObjectModel, config: BakeConfig) -> BakedAsset {
-    bake_with_placement(model, config, Placement::default(), 0)
+    BakeSurface::build(&model.sdf, config).finish(model, config)
 }
 
 /// Bakes one placed scene object, preserving its placement and instance id.
 pub fn bake_placed(object: &PlacedObject, config: BakeConfig) -> BakedAsset {
-    bake_with_placement(
-        &object.model,
-        config,
-        Placement {
-            translation: object.translation,
-            scale: object.scale,
-            rotation_y: object.rotation_y,
-        },
-        object.id,
-    )
-}
-
-fn bake_with_placement(
-    model: &ObjectModel,
-    config: BakeConfig,
-    placement: Placement,
-    object_id: usize,
-) -> BakedAsset {
-    if let BakeFamily::Splat { .. } = config.family {
-        let cloud = SplatCloud::extract(model, config);
-        return BakedAsset {
-            name: model.name.clone(),
-            object_id,
-            config,
-            mesh: Arc::new(QuadMesh::default()),
-            atlas: Arc::new(TextureAtlas::from_raw(config.patch, 0, vec![])),
-            mlp: None,
-            splats: Some(Arc::new(cloud)),
-            placement,
-        };
-    }
-    let grid = VoxelGrid::from_sdf(&model.sdf, config.grid);
-    let mesh = QuadMesh::extract(&grid, &model.sdf);
-    // Highest texture frequency representable by the atlas: half the texel
-    // sampling rate over a quad of one cell size (Nyquist).
-    let cell = grid.cell_size().max_component().max(1e-6);
-    let cutoff = 0.5 * config.patch as f32 / cell;
-    let atlas = TextureAtlas::bake(&mesh, &model.appearance, config.patch, cutoff);
-    BakedAsset {
-        name: model.name.clone(),
-        object_id,
-        config,
-        mesh: Arc::new(mesh),
-        atlas: Arc::new(atlas),
-        mlp: None,
-        splats: None,
-        placement,
-    }
+    bake_object(&object.model, config).placed_as(object)
 }
 
 /// Bakes every object of a scene with its own configuration, in parallel

@@ -42,16 +42,20 @@
 //! answered by an entry loaded from the persistent layer — the cross-process
 //! reuse signal.
 
-use crate::asset::{bake_object, BakedAsset, Placement};
+use crate::asset::BakedAsset;
 use crate::config::BakeConfig;
 use crate::disk;
 use crate::store::{EntryCodec, KeyedStore, StoreOptions};
-use nerflex_math::Vec3;
+use crate::surface::BakeSurface;
+use nerflex_math::pool::default_workers;
+use nerflex_math::{Vec3, WorkerPool};
 use nerflex_scene::object::ObjectModel;
 use nerflex_scene::scene::PlacedObject;
+use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// 64-bit FNV-1a, the classic dependency-free stable hash: the one hash
 /// behind every content fingerprint and store checksum in the workspace
@@ -168,6 +172,11 @@ pub struct CacheStats {
     /// The CI bench-smoke warm-run assertion keys on this: a second run
     /// over a warm store must report zero re-extractions.
     pub splat_extractions: usize,
+    /// Bake surfaces built ([`BakeSurface`]): at most one per `(family,
+    /// g)` group of a batch lookup, inside the group's first miss (a single
+    /// lookup is a batch of one). Hits, disk hits and coalesced waiters
+    /// never build one, so a warm batch builds none.
+    pub surface_builds: usize,
     /// Lookups that waited on another lookup's in-flight bake of the same
     /// asset instead of duplicating it.
     pub coalesced: usize,
@@ -215,6 +224,7 @@ impl CacheStats {
             disk_hits: self.disk_hits - earlier.disk_hits,
             misses: self.misses - earlier.misses,
             splat_extractions: self.splat_extractions - earlier.splat_extractions,
+            surface_builds: self.surface_builds - earlier.surface_builds,
             coalesced: self.coalesced - earlier.coalesced,
             entries: self.entries,
             loaded_from_disk: self.loaded_from_disk,
@@ -300,7 +310,9 @@ pub struct BakeCache {
     store: KeyedStore<BakeEntryCodec>,
     /// Splat-family extractions actually run (misses only; hits and
     /// coalesced waiters never extract).
-    splat_extractions: std::sync::atomic::AtomicUsize,
+    splat_extractions: AtomicUsize,
+    /// Bake surfaces built (inside miss builders only).
+    surface_builds: AtomicUsize,
 }
 
 impl BakeCache {
@@ -342,10 +354,7 @@ impl BakeCache {
     /// Returns the underlying error when the backing store cannot be
     /// created or listed.
     pub fn open(options: impl Into<StoreOptions>) -> io::Result<Self> {
-        Ok(Self {
-            store: KeyedStore::open(options)?,
-            splat_extractions: std::sync::atomic::AtomicUsize::new(0),
-        })
+        Ok(Self { store: KeyedStore::open(options)?, ..Self::default() })
     }
 
     /// The primary local directory of a persistent cache (`None` when
@@ -382,7 +391,8 @@ impl BakeCache {
             hits: stats.hits,
             disk_hits: stats.disk_hits,
             misses: stats.misses,
-            splat_extractions: self.splat_extractions.load(std::sync::atomic::Ordering::Relaxed),
+            splat_extractions: self.splat_extractions.load(Ordering::Relaxed),
+            surface_builds: self.surface_builds.load(Ordering::Relaxed),
             coalesced: stats.coalesced,
             entries: stats.entries,
             loaded_from_disk: stats.indexed,
@@ -405,15 +415,7 @@ impl BakeCache {
     /// store is read and decoded here, on its first lookup — outside the
     /// entry lock, so other workers keep hitting the cache meanwhile.
     pub fn get_or_bake(&self, model: &ObjectModel, config: BakeConfig) -> Arc<BakedAsset> {
-        let key = (model_fingerprint(model), config);
-        self.store.get_or_build(key, (), || {
-            // The builder only runs on a real miss, so this counts actual
-            // extractions — hits, disk hits and coalesced waiters skip it.
-            if config.splat_count().is_some() {
-                self.splat_extractions.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            }
-            bake_object(model, config)
-        })
+        self.lookup(model, model_fingerprint(model), config, &OnceLock::new())
     }
 
     /// Cache-aware replacement for [`crate::asset::bake_placed`]: the
@@ -422,15 +424,65 @@ impl BakeCache {
     /// With the mesh and atlas behind [`Arc`], the copy is two reference-
     /// count bumps, not a deep clone — a hit is near-free.
     pub fn get_or_bake_placed(&self, object: &PlacedObject, config: BakeConfig) -> BakedAsset {
-        let shared = self.get_or_bake(&object.model, config);
-        let mut asset = (*shared).clone();
-        asset.object_id = object.id;
-        asset.placement = Placement {
-            translation: object.translation,
-            scale: object.scale,
-            rotation_y: object.rotation_y,
+        (*self.get_or_bake(&object.model, config)).clone().placed_as(object)
+    }
+
+    /// [`BakeCache::get_or_bake_placed`] for every configuration of
+    /// `configs`, fanned over `workers` pool workers (`0` = one per core;
+    /// output bits never depend on it), in one pool dispatch.
+    ///
+    /// The configurations are grouped by `(family, g)`, and each group gets
+    /// one [`BakeSurface`] slot for the duration of this call. The group's
+    /// first *miss* builds the surface inside its builder; the group's other
+    /// misses finish their bakes from it, so the patch-size assets of one
+    /// `g` share one `Arc<QuadMesh>`. Hits, disk hits and coalesced waiters
+    /// never build a surface, so a warm batch builds none
+    /// ([`CacheStats::surface_builds`]). Keys, entry bytes and every other
+    /// counter are those of per-config lookups, and no surface outlives
+    /// the call.
+    pub fn get_or_bake_batch_placed(
+        &self,
+        object: &PlacedObject,
+        configs: &[BakeConfig],
+        workers: usize,
+    ) -> Vec<BakedAsset> {
+        let group = |config: &BakeConfig| (config.family.tag(), config.grid);
+        let surfaces: BTreeMap<(u8, u32), OnceLock<BakeSurface>> =
+            configs.iter().map(|config| (group(config), OnceLock::new())).collect();
+        let fingerprint = model_fingerprint(&object.model);
+        let workers = match workers {
+            0 => default_workers(configs.len()),
+            n => n,
         };
-        asset
+        WorkerPool::shared().run(configs.len(), workers, |idx| {
+            let config = configs[idx];
+            let surface = &surfaces[&group(&config)];
+            (*self.lookup(&object.model, fingerprint, config, surface)).clone().placed_as(object)
+        })
+    }
+
+    /// The single-flight lookup of `(fingerprint, config)`. A miss finishes
+    /// its bake from `surface`, building it first if no earlier miss of the
+    /// same group did.
+    fn lookup(
+        &self,
+        model: &ObjectModel,
+        fingerprint: u64,
+        config: BakeConfig,
+        surface: &OnceLock<BakeSurface>,
+    ) -> Arc<BakedAsset> {
+        self.store.get_or_build((fingerprint, config), (), || {
+            // The builder only runs on a real miss, so this counts actual
+            // extractions — hits, disk hits and coalesced waiters skip it.
+            if config.splat_count().is_some() {
+                self.splat_extractions.fetch_add(1, Ordering::Relaxed);
+            }
+            let surface = surface.get_or_init(|| {
+                self.surface_builds.fetch_add(1, Ordering::Relaxed);
+                BakeSurface::build(&model.sdf, config)
+            });
+            surface.finish(model, config)
+        })
     }
 }
 
@@ -440,7 +492,6 @@ mod tests {
     use crate::store::StoreLimits;
     use nerflex_scene::object::CanonicalObject;
     use nerflex_scene::scene::Scene;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn fnv1a_matches_the_standard_test_vectors() {
@@ -777,6 +828,63 @@ mod tests {
         assert_eq!(cached.mesh.quad_count(), direct.mesh.quad_count());
         assert_eq!(cached.placement.translation, direct.placement.translation);
         assert_eq!(cached.object_id, direct.object_id);
+    }
+
+    #[test]
+    fn batch_lookup_shares_surfaces_and_matches_per_config_bakes() {
+        let scene = Scene::with_objects(&[CanonicalObject::Hotdog, CanonicalObject::Chair], 4);
+        let mut configs = Vec::new();
+        for g in [10, 14] {
+            configs.extend([3, 5, 7].map(|p| BakeConfig::new(g, p)));
+        }
+        configs.extend([64, 128, 256].map(|count| BakeConfig::splat(12, count)));
+        let reference: Vec<Vec<Vec<u8>>> = scene
+            .objects()
+            .iter()
+            .map(|object| {
+                let fingerprint = model_fingerprint(&object.model);
+                let bake = |&config: &BakeConfig| {
+                    disk::encode_entry(
+                        fingerprint,
+                        &crate::asset::bake_object(&object.model, config),
+                    )
+                };
+                configs.iter().map(bake).collect()
+            })
+            .collect();
+
+        for workers in [1, 2, 4, 0] {
+            let cache = BakeCache::new();
+            for (object, expected) in scene.objects().iter().zip(&reference) {
+                let fingerprint = model_fingerprint(&object.model);
+                let assets = cache.get_or_bake_batch_placed(object, &configs, workers);
+                assert_eq!(assets.len(), configs.len());
+                for ((asset, config), bytes) in assets.iter().zip(&configs).zip(expected) {
+                    assert_eq!(asset.config, *config);
+                    assert_eq!(asset.object_id, object.id);
+                    assert_eq!(asset.placement.translation, object.translation);
+                    assert!(
+                        disk::encode_entry(fingerprint, asset) == *bytes,
+                        "workers={workers} {config:?}: batch bytes differ from bake_object"
+                    );
+                }
+                // The three patch sizes of one grid share one mesh.
+                for group in assets[..6].chunks(3) {
+                    assert!(group.iter().all(|a| Arc::ptr_eq(&a.mesh, &group[0].mesh)));
+                }
+                assert!(!Arc::ptr_eq(&assets[0].mesh, &assets[3].mesh));
+            }
+            // One surface per (object, family, g): 2 × (2 mesh + 1 splat).
+            let cold = cache.stats();
+            assert_eq!((cold.misses, cold.surface_builds), (18, 6), "workers={workers}");
+            assert_eq!(cold.splat_extractions, 6);
+
+            for object in scene.objects() {
+                let _ = cache.get_or_bake_batch_placed(object, &configs, workers);
+            }
+            let warm = cache.stats().since(&cold);
+            assert_eq!((warm.hits, warm.misses, warm.surface_builds), (18, 0, 0));
+        }
     }
 
     #[test]

@@ -364,6 +364,11 @@ pub fn decode_entry(bytes: &[u8]) -> Result<(u64, BakeConfig, Arc<BakedAsset>), 
     if atlas_patch == 0 {
         return Err(DecodeError::Malformed("zero atlas patch"));
     }
+    // The key's patch size is what the selector budgeted: an atlas of any
+    // other patch size must not be served under it.
+    if atlas_patch != config.patch {
+        return Err(DecodeError::Malformed("atlas patch differs from the configuration"));
+    }
     // The atlas allocates one patch per mesh quad; a mismatch would decode
     // fine but panic at render time on the first out-of-range quad index.
     if atlas_quads != quad_count {
@@ -657,6 +662,21 @@ mod tests {
         let sum = fnv1a(&hostile[..body]);
         hostile[body..].copy_from_slice(&sum.to_le_bytes());
         assert_eq!(decode_entry(&hostile).err(), Some(DecodeError::Truncated));
+    }
+
+    #[test]
+    fn checksum_consistent_atlas_of_another_patch_is_rejected() {
+        // A writer that files a p=3 atlas under a p=5 key produces an entry
+        // whose checksum, counts and texels are all self-consistent; only
+        // the header/atlas patch comparison catches it.
+        let mut asset = sample_asset(false);
+        assert_eq!(asset.atlas.patch(), 3);
+        asset.config = BakeConfig::new(asset.config.grid, 5);
+        let hostile = encode_entry(1, &asset);
+        assert_eq!(
+            decode_entry(&hostile).err(),
+            Some(DecodeError::Malformed("atlas patch differs from the configuration"))
+        );
     }
 
     #[test]

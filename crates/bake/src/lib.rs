@@ -37,6 +37,7 @@ pub mod mesh;
 pub mod mlp;
 pub mod splat;
 pub mod store;
+pub mod surface;
 pub mod voxel;
 
 pub use asset::{bake_object, bake_placed, bake_scene, BakedAsset, Placement};
@@ -58,4 +59,5 @@ pub use store::{
     EntryCodec, FlushReport, KeyedStore, PruneReport, StoreLimits, StoreLocation, StoreOptions,
     StoreStats,
 };
+pub use surface::BakeSurface;
 pub use voxel::VoxelGrid;

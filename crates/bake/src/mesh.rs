@@ -10,7 +10,6 @@
 use crate::voxel::VoxelGrid;
 use nerflex_math::{Aabb, Vec3};
 use nerflex_scene::sdf::Sdf;
-use std::collections::HashMap;
 
 /// One textured quad face.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -32,52 +31,92 @@ pub struct QuadMesh {
     pub quads: Vec<Quad>,
 }
 
+/// The six face directions, in the order faces are emitted per cell.
+const FACE_DIRS: [(i64, i64, i64); 6] =
+    [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)];
+
+/// The four lattice corners of the face of cell `(x, y, z)` facing
+/// `FACE_DIRS[dir]`, ordered counter-clockwise when seen from outside the
+/// cell.
+fn face_corners(x: i64, y: i64, z: i64, dir: usize) -> [(i64, i64, i64); 4] {
+    let (x1, y1, z1) = (x + 1, y + 1, z + 1);
+    match dir {
+        0 => [(x1, y, z), (x1, y1, z), (x1, y1, z1), (x1, y, z1)], // +X
+        1 => [(x, y, z), (x, y, z1), (x, y1, z1), (x, y1, z)],     // -X
+        2 => [(x, y1, z), (x, y1, z1), (x1, y1, z1), (x1, y1, z)], // +Y
+        3 => [(x, y, z), (x1, y, z), (x1, y, z1), (x, y, z1)],     // -Y
+        4 => [(x, y, z1), (x1, y, z1), (x1, y1, z1), (x, y1, z1)], // +Z
+        _ => [(x, y, z), (x, y1, z), (x1, y1, z), (x1, y, z)],     // -Z
+    }
+}
+
+/// Projects lattice vertices onto the SDF surface (bounded relaxation so
+/// coarse grids stay watertight) and returns their analytic normals.
+fn project_onto_surface(positions: &mut [Vec3], grid: &VoxelGrid, sdf: &Sdf) -> Vec<Vec3> {
+    let max_move = grid.cell_size().max_component();
+    let mut normals = Vec::with_capacity(positions.len());
+    for p in positions.iter_mut() {
+        let mut q = *p;
+        for _ in 0..3 {
+            let d = sdf.distance(q);
+            if d.abs() < 1e-4 {
+                break;
+            }
+            let n = sdf.normal(q);
+            q -= n * d;
+        }
+        if (q - *p).length() <= max_move {
+            *p = q;
+        }
+        normals.push(sdf.normal(*p));
+    }
+    normals
+}
+
 impl QuadMesh {
     /// Extracts the boundary-face quad mesh from `grid`, projecting vertices
     /// onto the surface of `sdf`.
+    ///
+    /// Lattice vertices are deduplicated through a rolling pair of dense
+    /// `(g+1)²` plane indices: cell layer `z` only touches lattice planes
+    /// `z` and `z+1`, so when the walk moves up a layer the upper plane's
+    /// indices become the lower plane's and the upper plane starts empty.
+    /// Indices are assigned in first-seen order.
     pub fn extract(grid: &VoxelGrid, sdf: &Sdf) -> Self {
         let r = grid.resolution() as i64;
-        let mut vertex_index: HashMap<(u32, u32, u32), u32> = HashMap::new();
+        let side = grid.resolution() as usize + 1;
+        const UNSEEN: u32 = u32::MAX;
+        let mut lower = vec![UNSEEN; side * side];
+        let mut upper = vec![UNSEEN; side * side];
         let mut positions: Vec<Vec3> = Vec::new();
         let mut quads: Vec<Quad> = Vec::new();
 
-        // The four lattice corners of the face of cell (x,y,z) facing `dir`,
-        // ordered counter-clockwise when seen from outside the cell.
-        let face_corners = |x: i64, y: i64, z: i64, dir: usize| -> [(i64, i64, i64); 4] {
-            let (x1, y1, z1) = (x + 1, y + 1, z + 1);
-            match dir {
-                0 => [(x1, y, z), (x1, y1, z), (x1, y1, z1), (x1, y, z1)], // +X
-                1 => [(x, y, z), (x, y, z1), (x, y1, z1), (x, y1, z)],     // -X
-                2 => [(x, y1, z), (x, y1, z1), (x1, y1, z1), (x1, y1, z)], // +Y
-                3 => [(x, y, z), (x1, y, z), (x1, y, z1), (x, y, z1)],     // -Y
-                4 => [(x, y, z1), (x1, y, z1), (x1, y1, z1), (x, y1, z1)], // +Z
-                _ => [(x, y, z), (x, y1, z), (x1, y1, z), (x1, y, z)],     // -Z
-            }
-        };
-        const DIRS: [(i64, i64, i64); 6] =
-            [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)];
-
         for z in 0..r {
+            if z > 0 {
+                std::mem::swap(&mut lower, &mut upper);
+                upper.fill(UNSEEN);
+            }
             for y in 0..r {
                 for x in 0..r {
                     if !grid.occupied(x, y, z) {
                         continue;
                     }
-                    for (dir, (dx, dy, dz)) in DIRS.iter().enumerate() {
+                    for (dir, (dx, dy, dz)) in FACE_DIRS.iter().enumerate() {
                         if grid.occupied(x + dx, y + dy, z + dz) {
                             continue;
                         }
-                        let corners = face_corners(x, y, z, dir);
-                        let mut idx = [0u32; 4];
-                        for (i, &(cx, cy, cz)) in corners.iter().enumerate() {
-                            let key = (cx as u32, cy as u32, cz as u32);
-                            idx[i] = *vertex_index.entry(key).or_insert_with(|| {
-                                positions.push(grid.corner_position(key.0, key.1, key.2));
-                                (positions.len() - 1) as u32
-                            });
-                        }
+                        let vertices = face_corners(x, y, z, dir).map(|(cx, cy, cz)| {
+                            let plane = if cz == z { &mut lower } else { &mut upper };
+                            let slot = &mut plane[cy as usize * side + cx as usize];
+                            if *slot == UNSEEN {
+                                positions
+                                    .push(grid.corner_position(cx as u32, cy as u32, cz as u32));
+                                *slot = (positions.len() - 1) as u32;
+                            }
+                            *slot
+                        });
                         quads.push(Quad {
-                            vertices: idx,
+                            vertices,
                             face_normal: Vec3::new(*dx as f32, *dy as f32, *dz as f32),
                         });
                     }
@@ -85,26 +124,7 @@ impl QuadMesh {
             }
         }
 
-        // Project lattice vertices onto the SDF surface (bounded relaxation so
-        // coarse grids stay watertight) and record analytic normals.
-        let max_move = grid.cell_size().max_component();
-        let mut normals = Vec::with_capacity(positions.len());
-        for p in positions.iter_mut() {
-            let mut q = *p;
-            for _ in 0..3 {
-                let d = sdf.distance(q);
-                if d.abs() < 1e-4 {
-                    break;
-                }
-                let n = sdf.normal(q);
-                q -= n * d;
-            }
-            if (q - *p).length() <= max_move {
-                *p = q;
-            }
-            normals.push(sdf.normal(*p));
-        }
-
+        let normals = project_onto_surface(&mut positions, grid, sdf);
         Self { positions, normals, quads }
     }
 
@@ -183,6 +203,7 @@ impl QuadMesh {
 mod tests {
     use super::*;
     use nerflex_scene::object::CanonicalObject;
+    use std::collections::HashMap;
 
     fn sphere_mesh(resolution: u32) -> (QuadMesh, Sdf) {
         let sdf = Sdf::Sphere { radius: 1.0 };
@@ -254,6 +275,60 @@ mod tests {
             QuadMesh::extract(&grid, &model.sdf).quad_count()
         };
         assert!(build(CanonicalObject::Lego) > build(CanonicalObject::Hotdog));
+    }
+
+    /// The `HashMap` vertex dedup the dense plane index replaced: the same
+    /// walk, keyed by lattice corner.
+    fn hashmap_reference(grid: &VoxelGrid, sdf: &Sdf) -> QuadMesh {
+        let r = grid.resolution() as i64;
+        let mut vertex_index: HashMap<(u32, u32, u32), u32> = HashMap::new();
+        let mut positions = Vec::new();
+        let mut quads = Vec::new();
+        for z in 0..r {
+            for y in 0..r {
+                for x in 0..r {
+                    if !grid.occupied(x, y, z) {
+                        continue;
+                    }
+                    for (dir, (dx, dy, dz)) in FACE_DIRS.iter().enumerate() {
+                        if grid.occupied(x + dx, y + dy, z + dz) {
+                            continue;
+                        }
+                        let vertices = face_corners(x, y, z, dir).map(|(cx, cy, cz)| {
+                            let key = (cx as u32, cy as u32, cz as u32);
+                            *vertex_index.entry(key).or_insert_with(|| {
+                                positions.push(grid.corner_position(key.0, key.1, key.2));
+                                (positions.len() - 1) as u32
+                            })
+                        });
+                        quads.push(Quad {
+                            vertices,
+                            face_normal: Vec3::new(*dx as f32, *dy as f32, *dz as f32),
+                        });
+                    }
+                }
+            }
+        }
+        let normals = project_onto_surface(&mut positions, grid, sdf);
+        QuadMesh { positions, normals, quads }
+    }
+
+    #[test]
+    fn dense_index_matches_the_hashmap_dedup_exactly() {
+        let lego = CanonicalObject::Lego.build().sdf;
+        for sdf in [Sdf::Sphere { radius: 1.0 }, lego] {
+            for g in [1, 7, 16, 40] {
+                let grid = VoxelGrid::from_sdf(&sdf, g);
+                let dense = QuadMesh::extract(&grid, &sdf);
+                let reference = hashmap_reference(&grid, &sdf);
+                let bits = |v: &[Vec3]| -> Vec<[u32; 3]> {
+                    v.iter().map(|p| [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()]).collect()
+                };
+                assert_eq!(bits(&dense.positions), bits(&reference.positions), "g={g}");
+                assert_eq!(bits(&dense.normals), bits(&reference.normals), "g={g}");
+                assert_eq!(dense.quads, reference.quads, "g={g}");
+            }
+        }
     }
 
     #[test]

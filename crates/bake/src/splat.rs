@@ -123,29 +123,35 @@ impl SplatCloud {
         let target =
             config.splat_count().expect("splat extraction needs a splat-family config") as usize;
         let grid = VoxelGrid::from_sdf(&model.sdf, config.grid);
-        let seeds = boundary_cell_centers(&grid);
+        Self::refine(model, &boundary_cell_centers(&grid), grid.cell_size().max_component(), target)
+    }
+
+    /// The count-dependent half of [`SplatCloud::extract`]: subsamples
+    /// `target` of the boundary-cell `seeds` (cells of side `cell`),
+    /// refines, colours and sizes them. The seeds depend only on
+    /// `(model, grid)`, so every splat count of one grid shares them
+    /// ([`crate::BakeSurface`]).
+    pub(crate) fn refine(model: &ObjectModel, seeds: &[Vec3], cell: f32, target: usize) -> Self {
         if seeds.is_empty() {
             return Self::default();
         }
 
-        // Even-stride subsample: seed (i·n)/target for i in 0..target — a
-        // pure function of (i, n, target), independent of everything else.
+        // Even-stride subsample: seed (i·n)/kept for i in 0..kept — a pure
+        // function of (i, n, target), independent of everything else.
+        // Below the budget (kept = n) it keeps every seed.
         let n = seeds.len();
-        let kept: Vec<Vec3> =
-            if n > target { (0..target).map(|i| seeds[i * n / target]).collect() } else { seeds };
+        let kept = n.min(target);
 
         // In-surface radius: boundary cells tile the surface at one cell
         // per cell-width; keeping `kept` of `n` seeds spreads each splat
         // over n/kept cells of area, i.e. √(n/kept) cell widths.
-        let cell = grid.cell_size().max_component();
-        let spread = (n as f32 / kept.len() as f32).sqrt();
+        let spread = (n as f32 / kept as f32).sqrt();
         let radius = (0.85 * cell * spread).clamp(0.5 * cell, 6.0 * cell);
         let thin = 0.35 * radius;
 
-        let splats = kept
-            .into_iter()
-            .map(|seed| {
-                let mut p = seed;
+        let splats = (0..kept)
+            .map(|i| {
+                let mut p = seeds[i * n / kept];
                 for _ in 0..2 {
                     p = p - model.sdf.normal(p) * model.sdf.distance(p);
                 }
@@ -175,7 +181,7 @@ impl SplatCloud {
 
 /// Centres of every boundary cell (occupied, ≥ 1 empty 6-neighbour), in
 /// the fixed `z, y, x` order of [`VoxelGrid::boundary_face_count`].
-fn boundary_cell_centers(grid: &VoxelGrid) -> Vec<Vec3> {
+pub(crate) fn boundary_cell_centers(grid: &VoxelGrid) -> Vec<Vec3> {
     let r = grid.resolution() as i64;
     let half = grid.cell_size() * 0.5;
     let mut centers = Vec::new();

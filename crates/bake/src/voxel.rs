@@ -6,7 +6,7 @@
 //! effective cell size — and therefore the geometric fidelity — scales with
 //! the granularity knob `g`.
 
-use nerflex_math::{Aabb, Vec3};
+use nerflex_math::Vec3;
 use nerflex_scene::sdf::Sdf;
 
 /// A dense boolean occupancy grid of `g³` cells over an object's bounds.
@@ -28,13 +28,6 @@ impl VoxelGrid {
     pub fn from_sdf(sdf: &Sdf, resolution: u32) -> Self {
         assert!(resolution > 0, "voxel resolution must be positive");
         let bounds = sdf.bounding_box().inflate(1e-3);
-        Self::from_sdf_with_bounds(sdf, resolution, bounds)
-    }
-
-    /// Same as [`VoxelGrid::from_sdf`] with explicit bounds (used when several
-    /// configurations of the same object must share identical cell layouts).
-    pub fn from_sdf_with_bounds(sdf: &Sdf, resolution: u32, bounds: Aabb) -> Self {
-        assert!(resolution > 0, "voxel resolution must be positive");
         let r = resolution as usize;
         let extent = bounds.extent();
         let cell_size = extent / resolution as f32;

@@ -309,6 +309,7 @@ fn main() {
             .int_field("stage_cache_misses", t.cache_misses as u64)
             .int_field("splat_extractions", t.splat_extractions as u64)
             .int_field("cache_splat_extractions", run_cache.splat_extractions as u64)
+            .int_field("cache_surface_builds", run_cache.surface_builds as u64)
             .int_field("splat_assets", splat_assets as u64)
             .int_field("mesh_assets", (deployment.assets.len() - splat_assets) as u64)
             .int_field("bytes_mesh", mesh_bytes as u64)

@@ -14,9 +14,7 @@
 //!   a method-specific blur/noise operator calibrated so the relative
 //!   ordering of Table I holds (see DESIGN.md, substitution table).
 
-use nerflex_bake::{
-    bake_scene, BakeConfig, BakedAsset, Placement, QuadMesh, TextureAtlas, VoxelGrid,
-};
+use nerflex_bake::{bake_scene, BakeConfig, BakeSurface, BakedAsset, Placement, TextureAtlas};
 use nerflex_device::Workload;
 use nerflex_image::{Color, Image};
 use nerflex_math::sampling::hash_u32;
@@ -76,13 +74,12 @@ pub fn bake_single_nerf(scene: &Scene, config: BakeConfig) -> BaselineResult {
     assert!(!scene.is_empty(), "cannot bake an empty scene");
     // Union of all objects' world-space SDFs.
     let union = Sdf::Union(scene.objects().iter().map(|o| o.world_sdf()).collect());
-    let grid = VoxelGrid::from_sdf(&union, config.grid);
-    let mesh = QuadMesh::extract(&grid, &union);
-    let cell = grid.cell_size().max_component().max(1e-6);
-    let cutoff = 0.5 * config.patch as f32 / cell;
+    let surface = BakeSurface::mesh(&union, config.grid);
+    let mesh = surface.quad_mesh().expect("a mesh surface carries a mesh");
+    let cutoff = surface.texel_cutoff(config.patch);
     // Texels are sampled from whichever object is nearest to the texel centre.
     let atlas =
-        TextureAtlas::bake_with(&mesh, config.patch, |pos, normal| match scene.distance(pos).1 {
+        TextureAtlas::bake_with(mesh, config.patch, |pos, normal| match scene.distance(pos).1 {
             Some(id) => {
                 let obj = scene.object(id).expect("distance returned a valid id");
                 let local = obj.to_local(pos);
@@ -94,7 +91,7 @@ pub fn bake_single_nerf(scene: &Scene, config: BakeConfig) -> BaselineResult {
         name: "single-nerf-scene".to_string(),
         object_id: 0,
         config,
-        mesh: std::sync::Arc::new(mesh),
+        mesh: std::sync::Arc::clone(mesh),
         atlas: std::sync::Arc::new(atlas),
         mlp: None,
         splats: None,

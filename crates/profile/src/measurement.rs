@@ -252,12 +252,14 @@ pub fn measure_object_in(
 }
 
 /// The whole-profile batched evaluation: dispatch 1 bakes every sample
-/// configuration, dispatch 2 fans the flattened (configuration × view) grid
-/// with a persistent [`MetricsScratch`] per pool worker, then the per-view
-/// scores are folded per configuration **in view order** — the same
-/// floating-point association as [`ObjectGroundTruth::measure`], so
-/// batching never changes a measurement bit (`1` worker is the bit-for-bit
-/// sequential path). Two dispatches regardless of the profile size.
+/// configuration in one [`BakeCache::get_or_bake_batch_placed`] (one bake
+/// surface per `(family, g)`), dispatch 2 fans the flattened
+/// (configuration × view) grid with a persistent [`MetricsScratch`] per
+/// pool worker, then the per-view scores are folded per configuration
+/// **in view order** — the same floating-point association as
+/// [`ObjectGroundTruth::measure`], so batching never changes a measurement
+/// bit (`1` worker is the bit-for-bit sequential path). Two dispatches
+/// regardless of the profile size.
 fn measure_batched(
     ground_truth: &ObjectGroundTruth,
     configs: &[BakeConfig],
@@ -265,16 +267,19 @@ fn measure_batched(
     cache: Option<&BakeCache>,
     accounting: Option<&MetricsAccounting>,
 ) -> Vec<Measurement> {
+    // Without a shared cache, a throwaway one still shares each (family,
+    // g) surface across the batch.
+    let throwaway;
+    let cache = match cache {
+        Some(cache) => cache,
+        None => {
+            throwaway = BakeCache::new();
+            &throwaway
+        }
+    };
     let pool = WorkerPool::shared();
     let placed = &ground_truth.scene.objects()[0];
-    let bake_workers = match settings.worker_threads {
-        0 => default_workers(configs.len()),
-        n => n,
-    };
-    let assets = pool.run(configs.len(), bake_workers, |idx| match cache {
-        Some(cache) => cache.get_or_bake_placed(placed, configs[idx]),
-        None => nerflex_bake::bake_placed(placed, configs[idx]),
-    });
+    let assets = cache.get_or_bake_batch_placed(placed, configs, settings.worker_threads);
     let views = ground_truth.poses.len();
     let pairs = configs.len() * views;
     let pair_workers = match settings.worker_threads {
@@ -412,9 +417,19 @@ mod tests {
         // per-configuration loop (`ObjectGroundTruth::measure`) bit for bit:
         // same configs, every tested worker count (the worker count also
         // reaches the ground-truth ray marching here). `0` = one worker per
-        // core.
+        // core. Besides three distinct grids, the list holds mesh configs
+        // that share a grid and splat configs that share one, so the
+        // batch's shared bake surfaces are checked against per-config bakes.
         let model = CanonicalObject::Hotdog.build();
-        let configs = vec![BakeConfig::new(10, 3), BakeConfig::new(16, 5), BakeConfig::new(24, 7)];
+        let configs = vec![
+            BakeConfig::new(10, 3),
+            BakeConfig::new(16, 5),
+            BakeConfig::new(24, 7),
+            BakeConfig::new(16, 3),
+            BakeConfig::new(16, 9),
+            BakeConfig::splat(12, 128),
+            BakeConfig::splat(12, 256),
+        ];
         let gt = ObjectGroundTruth::build(&model, &quick_settings());
         let reference: Vec<Measurement> = configs.iter().map(|&c| gt.measure(c)).collect();
         for workers in [1, 2, 4, 7, 0] {
