@@ -7,6 +7,7 @@
 
 use crate::mesh::QuadMesh;
 use nerflex_image::Color;
+use nerflex_math::Vec3;
 use nerflex_scene::appearance::Appearance;
 use serde::{Deserialize, Serialize};
 
@@ -24,9 +25,13 @@ impl TextureAtlas {
     ///
     /// `texel_density_cutoff` is the highest spatial frequency (cycles per
     /// world unit) the atlas can represent; it is derived from the patch size
-    /// and quad size by the caller ([`crate::bake_object`]) and passed to the
-    /// band-limited appearance sampler so small patches yield blurrier
+    /// and quad size by [`crate::BakeSurface::texel_cutoff`] and resolves the
+    /// band-limited appearance sampler once for the whole atlas
+    /// ([`Appearance::band_limited`]), so small patches yield blurrier
     /// textures, mirroring how a low-resolution baked texture loses detail.
+    /// Every texel is bit-identical to evaluating
+    /// [`Appearance::albedo_band_limited`] at the texel's
+    /// [`QuadMesh::quad_point`] and [`QuadMesh::quad_normal`].
     ///
     /// # Panics
     ///
@@ -37,9 +42,9 @@ impl TextureAtlas {
         patch: u32,
         texel_density_cutoff: f32,
     ) -> Self {
-        Self::bake_with(mesh, patch, |pos, normal| {
-            appearance.albedo_band_limited(pos, normal, texel_density_cutoff)
-        })
+        let mut sampler = appearance.band_limited(texel_density_cutoff);
+        let normals = sampler.reads_normal();
+        Self::bake_texels(mesh, patch, normals, |pos, normal| sampler.albedo(pos, normal))
     }
 
     /// Bakes the atlas with an arbitrary per-texel sampler `sampler(position,
@@ -52,22 +57,52 @@ impl TextureAtlas {
     pub fn bake_with(
         mesh: &QuadMesh,
         patch: u32,
-        mut sampler: impl FnMut(nerflex_math::Vec3, nerflex_math::Vec3) -> Color,
+        sampler: impl FnMut(Vec3, Vec3) -> Color,
+    ) -> Self {
+        Self::bake_texels(mesh, patch, true, sampler)
+    }
+
+    /// The texel loop of [`TextureAtlas::bake`] and
+    /// [`TextureAtlas::bake_with`]. A quad's edge lerps depend only on the
+    /// texel column, so they are computed once per column; the per-texel
+    /// lerp between them is [`QuadMesh::quad_point`]'s last step. Normals
+    /// are interpolated only when `normals` is set; otherwise the sampler
+    /// receives [`Vec3::ZERO`].
+    fn bake_texels(
+        mesh: &QuadMesh,
+        patch: u32,
+        normals: bool,
+        mut sampler: impl FnMut(Vec3, Vec3) -> Color,
     ) -> Self {
         assert!(patch > 0, "patch size must be positive");
         let p = patch as usize;
         let quad_count = mesh.quad_count();
         let mut data = vec![[0u8; 3]; quad_count * p * p];
-        for q in 0..quad_count {
-            for ty in 0..p {
-                for tx in 0..p {
-                    // Texel centres in patch space.
-                    let u = (tx as f32 + 0.5) / patch as f32;
-                    let v = (ty as f32 + 0.5) / patch as f32;
-                    let pos = mesh.quad_point(q, u, v);
-                    let normal = mesh.quad_normal(q, u, v);
-                    let color = sampler(pos, normal).clamped();
-                    data[(q * p + ty) * p + tx] = [
+        // Texel centres in patch space, the same along u and v.
+        let centres: Vec<f32> = (0..p).map(|t| (t as f32 + 0.5) / patch as f32).collect();
+        let mut edges = vec![(Vec3::ZERO, Vec3::ZERO); p];
+        let mut normal_edges = vec![(Vec3::ZERO, Vec3::ZERO); if normals { p } else { 0 }];
+        for (quad, texels) in mesh.quads.iter().zip(data.chunks_exact_mut(p * p)) {
+            let corners = |values: &[Vec3]| quad.vertices.map(|i| values[i as usize]);
+            let [p0, p1, p2, p3] = corners(&mesh.positions);
+            for (edge, &u) in edges.iter_mut().zip(&centres) {
+                *edge = (p0.lerp(p1, u), p3.lerp(p2, u));
+            }
+            if normals {
+                let [n0, n1, n2, n3] = corners(&mesh.normals);
+                for (edge, &u) in normal_edges.iter_mut().zip(&centres) {
+                    *edge = (n0.lerp(n1, u), n3.lerp(n2, u));
+                }
+            }
+            for (row, &v) in texels.chunks_exact_mut(p).zip(&centres) {
+                for (tx, texel) in row.iter_mut().enumerate() {
+                    let (bottom, top) = edges[tx];
+                    let normal = match normal_edges.get(tx) {
+                        Some(&(bottom, top)) => bottom.lerp(top, v).normalized(),
+                        None => Vec3::ZERO,
+                    };
+                    let color = sampler(bottom.lerp(top, v), normal).clamped();
+                    *texel = [
                         (color.r * 255.0).round() as u8,
                         (color.g * 255.0).round() as u8,
                         (color.b * 255.0).round() as u8,
@@ -155,6 +190,8 @@ impl TextureAtlas {
 mod tests {
     use super::*;
     use crate::voxel::VoxelGrid;
+    use nerflex_math::sampling::{fbm, value_noise};
+    use nerflex_scene::object::CanonicalObject;
     use nerflex_scene::sdf::Sdf;
 
     fn small_mesh() -> QuadMesh {
@@ -220,6 +257,113 @@ mod tests {
         let fine = mean_error(9);
         assert!(fine < coarse, "texture error should shrink with patch size: {coarse} -> {fine}");
         assert!(fine < 0.02, "full-bandwidth bake should be near-exact, got {fine}");
+    }
+
+    /// The per-texel band limit the resolved sampler replaced, decided
+    /// again at every point through the one-shot noise functions (whose
+    /// cached form `nerflex-math` pins against the uncached trilinear loop).
+    fn reference_albedo(app: &Appearance, p: Vec3, n: Vec3, cutoff: f32) -> Color {
+        match app {
+            Appearance::Solid { color } => *color,
+            Appearance::Checker { a, b, scale } => {
+                if *scale <= cutoff {
+                    app.albedo(p, n)
+                } else {
+                    a.lerp(*b, 0.5)
+                }
+            }
+            Appearance::Noise { base, accent, frequency, octaves } => {
+                let mut usable = 0u32;
+                let mut f = *frequency;
+                for _ in 0..*octaves {
+                    if f <= cutoff {
+                        usable += 1;
+                    }
+                    f *= 2.0;
+                }
+                if usable == 0 {
+                    let t = value_noise(p, cutoff.min(*frequency));
+                    return base.lerp(*accent, 0.25 + 0.5 * t);
+                }
+                let t = fbm(p, *frequency, usable);
+                base.lerp(*accent, t)
+            }
+            Appearance::Stripes { a, b, frequency } => {
+                if *frequency <= cutoff {
+                    app.albedo(p, n)
+                } else {
+                    a.lerp(*b, 0.5)
+                }
+            }
+            Appearance::Studs { base, highlight, frequency } => {
+                if *frequency <= cutoff {
+                    app.albedo(p, n)
+                } else {
+                    base.lerp(*highlight, 0.3 * n.y.max(0.0))
+                }
+            }
+        }
+    }
+
+    /// The per-texel atlas loop the column lerps replaced: position and
+    /// normal interpolated at every texel, whatever the appearance reads.
+    fn reference_bake(mesh: &QuadMesh, app: &Appearance, patch: u32, cutoff: f32) -> Vec<[u8; 3]> {
+        let p = patch as usize;
+        let mut data = vec![[0u8; 3]; mesh.quad_count() * p * p];
+        for q in 0..mesh.quad_count() {
+            for ty in 0..p {
+                for tx in 0..p {
+                    let u = (tx as f32 + 0.5) / patch as f32;
+                    let v = (ty as f32 + 0.5) / patch as f32;
+                    let pos = mesh.quad_point(q, u, v);
+                    let normal = mesh.quad_normal(q, u, v);
+                    let color = reference_albedo(app, pos, normal, cutoff).clamped();
+                    data[(q * p + ty) * p + tx] = [
+                        (color.r * 255.0).round() as u8,
+                        (color.g * 255.0).round() as u8,
+                        (color.b * 255.0).round() as u8,
+                    ];
+                }
+            }
+        }
+        data
+    }
+
+    #[test]
+    fn bake_matches_the_per_texel_reference_bit_for_bit() {
+        let (a, b) = (Color::new(0.9, 0.2, 0.1), Color::new(0.1, 0.3, 0.8));
+        let noise = |octaves| Appearance::Noise { base: a, accent: b, frequency: 3.0, octaves };
+        let appearances = [
+            Appearance::Solid { color: a },
+            Appearance::Checker { a, b, scale: 8.0 },
+            // Octaves at 3, 6, 12, 24: cut-offs 2, 10 and 100 keep 0, 2 and 4.
+            noise(4),
+            noise(0),
+            Appearance::Stripes { a, b, frequency: 6.0 },
+            Appearance::Studs { base: a, highlight: b, frequency: 6.0 },
+        ];
+        let lego = CanonicalObject::Lego.build().sdf;
+        let meshes = [(Sdf::Sphere { radius: 0.8 }, 8), (lego, 6)].map(|(sdf, g)| {
+            let grid = VoxelGrid::from_sdf(&sdf, g);
+            QuadMesh::extract(&grid, &sdf)
+        });
+        for (m, mesh) in meshes.iter().enumerate() {
+            for app in &appearances {
+                for patch in [1, 3, 6, 9] {
+                    for cutoff in [2.0, 10.0, 100.0] {
+                        let baked = TextureAtlas::bake(mesh, app, patch, cutoff);
+                        let reference = reference_bake(mesh, app, patch, cutoff);
+                        let first_diff =
+                            baked.texel_data().iter().zip(&reference).position(|(x, y)| x != y);
+                        assert_eq!(
+                            first_diff, None,
+                            "mesh {m}, {app:?}, patch {patch}, cutoff {cutoff}"
+                        );
+                        assert_eq!(baked.texel_count(), reference.len());
+                    }
+                }
+            }
+        }
     }
 
     #[test]

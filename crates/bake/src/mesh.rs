@@ -8,7 +8,8 @@
 //! quality a saturating function of `g`, the behaviour the profiler models.
 
 use crate::voxel::VoxelGrid;
-use nerflex_math::{Aabb, Vec3};
+use nerflex_math::simd::LANES;
+use nerflex_math::{Aabb, F32x4, Mask4, Vec3, Vec3x4};
 use nerflex_scene::sdf::Sdf;
 
 /// One textured quad face.
@@ -52,23 +53,37 @@ fn face_corners(x: i64, y: i64, z: i64, dir: usize) -> [(i64, i64, i64); 4] {
 
 /// Projects lattice vertices onto the SDF surface (bounded relaxation so
 /// coarse grids stay watertight) and returns their analytic normals.
+///
+/// Vertices are projected four per packet through [`Sdf::distance_x4`] and
+/// [`Sdf::normal_x4`], which are bit-identical per lane to their scalar
+/// counterparts. Each vertex takes up to three Newton steps `q ← q − d·n`
+/// and stops once `|d| < 1e-4`; a per-lane active mask keeps a stopped lane
+/// where it is while the others step. A vertex keeps its projection only
+/// when it moved at most one cell. A short last packet repeats its last
+/// vertex and discards the extra lanes.
 fn project_onto_surface(positions: &mut [Vec3], grid: &VoxelGrid, sdf: &Sdf) -> Vec<Vec3> {
-    let max_move = grid.cell_size().max_component();
+    let max_move = F32x4::splat(grid.cell_size().max_component());
+    let tolerance = F32x4::splat(1e-4);
     let mut normals = Vec::with_capacity(positions.len());
-    for p in positions.iter_mut() {
-        let mut q = *p;
+    for chunk in positions.chunks_mut(LANES) {
+        let start = Vec3x4::from_lanes(std::array::from_fn(|i| chunk[i.min(chunk.len() - 1)]));
+        let mut q = start;
+        let mut active = Mask4::ALL;
         for _ in 0..3 {
-            let d = sdf.distance(q);
-            if d.abs() < 1e-4 {
+            let d = sdf.distance_x4(q);
+            active = active.and(!d.abs().lt(tolerance));
+            if !active.any() {
                 break;
             }
-            let n = sdf.normal(q);
-            q -= n * d;
+            let n = sdf.normal_x4(q);
+            q = (q - n * d).select(q, active);
         }
-        if (q - *p).length() <= max_move {
-            *p = q;
+        let projected = q.select(start, (q - start).length().le(max_move));
+        let n = sdf.normal_x4(projected);
+        for (lane, p) in chunk.iter_mut().enumerate() {
+            *p = projected.lane(lane);
+            normals.push(n.lane(lane));
         }
-        normals.push(sdf.normal(*p));
     }
     normals
 }
@@ -277,8 +292,37 @@ mod tests {
         assert!(build(CanonicalObject::Lego) > build(CanonicalObject::Hotdog));
     }
 
-    /// The `HashMap` vertex dedup the dense plane index replaced: the same
-    /// walk, keyed by lattice corner.
+    /// The scalar vertex projection the lane packets replaced, kept
+    /// verbatim as the reference: one vertex at a time through
+    /// [`Sdf::distance`] and [`Sdf::normal`].
+    fn scalar_project_onto_surface(
+        positions: &mut [Vec3],
+        grid: &VoxelGrid,
+        sdf: &Sdf,
+    ) -> Vec<Vec3> {
+        let max_move = grid.cell_size().max_component();
+        let mut normals = Vec::with_capacity(positions.len());
+        for p in positions.iter_mut() {
+            let mut q = *p;
+            for _ in 0..3 {
+                let d = sdf.distance(q);
+                if d.abs() < 1e-4 {
+                    break;
+                }
+                let n = sdf.normal(q);
+                q -= n * d;
+            }
+            if (q - *p).length() <= max_move {
+                *p = q;
+            }
+            normals.push(sdf.normal(*p));
+        }
+        normals
+    }
+
+    /// The `HashMap` vertex dedup the dense plane index replaced, and the
+    /// scalar projection the lane packets replaced: the same walk, keyed by
+    /// lattice corner.
     fn hashmap_reference(grid: &VoxelGrid, sdf: &Sdf) -> QuadMesh {
         let r = grid.resolution() as i64;
         let mut vertex_index: HashMap<(u32, u32, u32), u32> = HashMap::new();
@@ -309,7 +353,7 @@ mod tests {
                 }
             }
         }
-        let normals = project_onto_surface(&mut positions, grid, sdf);
+        let normals = scalar_project_onto_surface(&mut positions, grid, sdf);
         QuadMesh { positions, normals, quads }
     }
 

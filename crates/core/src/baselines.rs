@@ -77,13 +77,15 @@ pub fn bake_single_nerf(scene: &Scene, config: BakeConfig) -> BaselineResult {
     let surface = BakeSurface::mesh(&union, config.grid);
     let mesh = surface.quad_mesh().expect("a mesh surface carries a mesh");
     let cutoff = surface.texel_cutoff(config.patch);
-    // Texels are sampled from whichever object is nearest to the texel centre.
+    // Texels are sampled from whichever object is nearest to the texel centre,
+    // through that object's appearance band-limited once for the atlas.
+    let mut samplers: Vec<_> =
+        scene.objects().iter().map(|obj| obj.appearance().band_limited(cutoff)).collect();
     let atlas =
         TextureAtlas::bake_with(mesh, config.patch, |pos, normal| match scene.distance(pos).1 {
             Some(id) => {
                 let obj = scene.object(id).expect("distance returned a valid id");
-                let local = obj.to_local(pos);
-                obj.appearance().albedo_band_limited(local, normal, cutoff)
+                samplers[id].albedo(obj.to_local(pos), normal)
             }
             None => Color::gray(0.5),
         });

@@ -43,6 +43,48 @@ pub use ray::Ray;
 pub use simd::{F32x4, LaneWidth, Mask4, Vec3x4};
 pub use vec::{Vec2, Vec3, Vec4};
 
+/// The smaller of `a` and `b`: `b` when `b < a` or `a` is NaN, else `a`.
+///
+/// Ties keep `a`, so the sign of a zero result is defined: `min(-0.0, 0.0)`
+/// is `-0.0` and `min(0.0, -0.0)` is `+0.0`. A NaN operand yields the other
+/// operand, as [`f32::min`] documents. [`f32::min`] leaves the ±0 result
+/// unspecified, so every scalar minimum a lane op must match, and the lane
+/// op itself ([`F32x4::min`]), is this function.
+///
+/// ```
+/// use nerflex_math::min;
+/// assert_eq!(min(-0.0f32, 0.0).to_bits(), (-0.0f32).to_bits());
+/// assert_eq!(min(0.0f32, -0.0).to_bits(), 0.0f32.to_bits());
+/// assert_eq!(min(f32::NAN, 2.0), 2.0);
+/// ```
+#[inline]
+pub fn min(a: f32, b: f32) -> f32 {
+    if b < a || a.is_nan() {
+        b
+    } else {
+        a
+    }
+}
+
+/// The larger of `a` and `b`: `b` when `b > a` or `a` is NaN, else `a`.
+///
+/// The tie and NaN rules are those of [`min`]: `max(-0.0, 0.0)` is `-0.0`,
+/// `max(0.0, -0.0)` is `+0.0`, and a NaN operand yields the other operand.
+///
+/// ```
+/// use nerflex_math::max;
+/// assert_eq!(max(-0.0f32, 0.0).to_bits(), (-0.0f32).to_bits());
+/// assert_eq!(max(2.0, f32::NAN), 2.0);
+/// ```
+#[inline]
+pub fn max(a: f32, b: f32) -> f32 {
+    if b > a || a.is_nan() {
+        b
+    } else {
+        a
+    }
+}
+
 /// Clamps `x` into `[lo, hi]`.
 ///
 /// Unlike [`f32::clamp`] this never panics: if `lo > hi` the bounds are

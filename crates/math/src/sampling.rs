@@ -50,46 +50,87 @@ pub fn hash_cell(x: i32, y: i32, z: i32) -> f32 {
 
 /// Tri-linearly interpolated value noise in `[0, 1)`, period-free, with
 /// features of size roughly `1 / frequency`.
+///
+/// The one-shot case of [`NoiseCell::value_noise`].
 pub fn value_noise(p: Vec3, frequency: f32) -> f32 {
-    let q = p * frequency;
-    let base = Vec3::new(q.x.floor(), q.y.floor(), q.z.floor());
-    let f = q - base;
-    // Smooth the interpolation weights (C¹) to avoid lattice artefacts.
-    let w = Vec3::new(
-        f.x * f.x * (3.0 - 2.0 * f.x),
-        f.y * f.y * (3.0 - 2.0 * f.y),
-        f.z * f.z * (3.0 - 2.0 * f.z),
-    );
-    let (x0, y0, z0) = (base.x as i32, base.y as i32, base.z as i32);
-    let mut accum = 0.0;
-    for dz in 0..2 {
-        for dy in 0..2 {
-            for dx in 0..2 {
-                let corner = hash_cell(x0 + dx, y0 + dy, z0 + dz);
-                let wx = if dx == 1 { w.x } else { 1.0 - w.x };
-                let wy = if dy == 1 { w.y } else { 1.0 - w.y };
-                let wz = if dz == 1 { w.z } else { 1.0 - w.z };
-                accum += corner * wx * wy * wz;
-            }
-        }
-    }
-    accum
+    NoiseCell::default().value_noise(p, frequency)
 }
 
 /// Fractal Brownian motion: `octaves` layers of [`value_noise`] with
 /// per-octave frequency doubling and amplitude halving, normalised to `[0, 1)`.
+///
+/// The one-shot case of [`fbm_cached`].
 pub fn fbm(p: Vec3, base_frequency: f32, octaves: u32) -> f32 {
+    fbm_cached(p, base_frequency, octaves, &mut [])
+}
+
+/// [`fbm`] with octave `i` evaluated through `cells[i]`, so consecutive
+/// points that stay in one lattice cell of an octave reuse its corner
+/// hashes. Octaves past `cells.len()` are evaluated uncached. The result is
+/// bit-identical to [`fbm`] whatever the cells held before.
+pub fn fbm_cached(p: Vec3, base_frequency: f32, octaves: u32, cells: &mut [NoiseCell]) -> f32 {
     let mut amplitude = 0.5;
     let mut frequency = base_frequency;
     let mut total = 0.0;
     let mut norm = 0.0;
-    for _ in 0..octaves.max(1) {
-        total += amplitude * value_noise(p, frequency);
+    for octave in 0..octaves.max(1) as usize {
+        let mut uncached = NoiseCell::default();
+        let cell = cells.get_mut(octave).unwrap_or(&mut uncached);
+        total += amplitude * cell.value_noise(p, frequency);
         norm += amplitude;
         amplitude *= 0.5;
         frequency *= 2.0;
     }
     total / norm
+}
+
+/// The eight lattice-corner hashes of the value-noise cell evaluated last.
+///
+/// [`hash_cell`] is a pure function of the integer cell, so keeping the
+/// corners of the last cell and reusing them while consecutive points stay
+/// in it changes no bit of the noise: it only skips recomputing the same
+/// eight hashes. A fresh cell holds no corners.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NoiseCell {
+    /// The lattice cell whose corners `corners` holds; `None` until the
+    /// first evaluation. (`as i32` saturates, so every `i32` cell,
+    /// `i32::MIN` included, can be a real one.)
+    cell: Option<[i32; 3]>,
+    /// `hash_cell` of the corners, `dx` fastest, then `dy`, then `dz`.
+    corners: [f32; 8],
+}
+
+impl NoiseCell {
+    /// Tri-linearly interpolated value noise at `p` ([`value_noise`]),
+    /// recomputing the corner hashes only when `p` lands in another lattice
+    /// cell than the previous call.
+    pub fn value_noise(&mut self, p: Vec3, frequency: f32) -> f32 {
+        let q = p * frequency;
+        let base = Vec3::new(q.x.floor(), q.y.floor(), q.z.floor());
+        let f = q - base;
+        // Smooth the interpolation weights (C¹) to avoid lattice artefacts.
+        let w = Vec3::new(
+            f.x * f.x * (3.0 - 2.0 * f.x),
+            f.y * f.y * (3.0 - 2.0 * f.y),
+            f.z * f.z * (3.0 - 2.0 * f.z),
+        );
+        let (x0, y0, z0) = (base.x as i32, base.y as i32, base.z as i32);
+        if self.cell != Some([x0, y0, z0]) {
+            for (i, corner) in self.corners.iter_mut().enumerate() {
+                let (dx, dy, dz) = ((i & 1) as i32, ((i >> 1) & 1) as i32, (i >> 2) as i32);
+                *corner = hash_cell(x0 + dx, y0 + dy, z0 + dz);
+            }
+            self.cell = Some([x0, y0, z0]);
+        }
+        let mut accum = 0.0;
+        for (i, corner) in self.corners.iter().enumerate() {
+            let wx = if i & 1 == 1 { w.x } else { 1.0 - w.x };
+            let wy = if (i >> 1) & 1 == 1 { w.y } else { 1.0 - w.y };
+            let wz = if i >> 2 == 1 { w.z } else { 1.0 - w.z };
+            accum += corner * wx * wy * wz;
+        }
+        accum
+    }
 }
 
 /// Evenly distributed directions on the unit sphere (Fibonacci lattice).
@@ -145,6 +186,67 @@ mod tests {
         let b = value_noise(p, 4.0);
         assert_eq!(a, b);
         assert!((0.0..=1.0).contains(&a));
+    }
+
+    /// The value noise `NoiseCell` memoises, as one trilinear pass that
+    /// hashes every corner.
+    fn reference_value_noise(p: Vec3, frequency: f32) -> f32 {
+        let q = p * frequency;
+        let base = Vec3::new(q.x.floor(), q.y.floor(), q.z.floor());
+        let f = q - base;
+        let w = Vec3::new(
+            f.x * f.x * (3.0 - 2.0 * f.x),
+            f.y * f.y * (3.0 - 2.0 * f.y),
+            f.z * f.z * (3.0 - 2.0 * f.z),
+        );
+        let (x0, y0, z0) = (base.x as i32, base.y as i32, base.z as i32);
+        let mut accum = 0.0;
+        for dz in 0..2 {
+            for dy in 0..2 {
+                for dx in 0..2 {
+                    let corner = hash_cell(x0 + dx, y0 + dy, z0 + dz);
+                    let wx = if dx == 1 { w.x } else { 1.0 - w.x };
+                    let wy = if dy == 1 { w.y } else { 1.0 - w.y };
+                    let wz = if dz == 1 { w.z } else { 1.0 - w.z };
+                    accum += corner * wx * wy * wz;
+                }
+            }
+        }
+        accum
+    }
+
+    #[test]
+    fn noise_cells_reuse_corners_without_changing_a_bit() {
+        // A walk that stays in cells, leaves and revisits them, starts in
+        // cell (0, 0, 0) (what a zeroed sentinel would claim to hold) and
+        // reaches the saturated cell `i32::MIN` and a NaN point.
+        let mut points = vec![Vec3::new(0.1, 0.2, 0.3), Vec3::new(0.15, 0.25, 0.35)];
+        points.extend((0..64).map(|i| Vec3::new(i as f32 * 0.07, -0.4, 1.3 - i as f32 * 0.02)));
+        points.push(Vec3::new(0.1, 0.2, 0.3));
+        points.extend([Vec3::splat(-1e12), Vec3::new(-1e12, -1e12, -1e12 + 1.0)]);
+        points.push(Vec3::new(f32::NAN, 0.0, 0.0));
+        points.push(Vec3::ZERO);
+        let bits = |x: f32| x.to_bits();
+        let reference_fbm = |p: Vec3| {
+            let (mut amplitude, mut frequency, mut total, mut norm) = (0.5, 2.0, 0.0, 0.0);
+            for _ in 0..5 {
+                total += amplitude * reference_value_noise(p, frequency);
+                norm += amplitude;
+                amplitude *= 0.5;
+                frequency *= 2.0;
+            }
+            total / norm
+        };
+        let mut cell = NoiseCell::default();
+        let mut cells = [NoiseCell::default(); 3];
+        for &p in &points {
+            assert_eq!(bits(cell.value_noise(p, 4.0)), bits(reference_value_noise(p, 4.0)));
+            assert_eq!(bits(value_noise(p, 4.0)), bits(reference_value_noise(p, 4.0)));
+            // Five octaves over three cells: the last two run uncached.
+            assert_eq!(bits(fbm_cached(p, 2.0, 5, &mut cells)), bits(reference_fbm(p)));
+            assert_eq!(bits(fbm(p, 2.0, 5)), bits(reference_fbm(p)));
+        }
+        assert_eq!(cell.cell, Some([0, 0, 0]));
     }
 
     #[test]

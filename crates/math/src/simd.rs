@@ -11,7 +11,7 @@
 //! # Determinism contract
 //!
 //! Every operation is defined *per lane* as exactly the scalar `f32`
-//! operation it replaces (`+`, `*`, `f32::min`, `f32::sqrt`, …), and the
+//! operation it replaces (`+`, `*`, [`crate::min`], `f32::sqrt`, …), and the
 //! compound helpers ([`Vec3x4::dot`], [`Vec3x4::max_component`], …) evaluate
 //! in exactly the association order of their scalar counterparts in
 //! [`crate::vec`]. IEEE-754 basic operations are exactly rounded, so a lane
@@ -77,16 +77,18 @@ impl F32x4 {
         self.0[lane] = v;
     }
 
-    /// Per-lane `f32::min` (identical to the scalar call lane by lane).
+    /// Per-lane [`crate::min`]: ties (±0 included) keep `self`, and a NaN
+    /// lane yields the other operand's lane.
     #[inline]
     pub fn min(self, o: Self) -> Self {
-        lanes!(|i: usize| self.0[i].min(o.0[i]))
+        lanes!(|i: usize| crate::min(self.0[i], o.0[i]))
     }
 
-    /// Per-lane `f32::max`.
+    /// Per-lane [`crate::max`], with the tie and NaN rules of
+    /// [`F32x4::min`].
     #[inline]
     pub fn max(self, o: Self) -> Self {
-        lanes!(|i: usize| self.0[i].max(o.0[i]))
+        lanes!(|i: usize| crate::max(self.0[i], o.0[i]))
     }
 
     /// Per-lane absolute value.
@@ -323,6 +325,16 @@ impl Vec3x4 {
         Self { x: self.x.abs(), y: self.y.abs(), z: self.z.abs() }
     }
 
+    /// Per-lane selection: `mask ? self : other`, all three components.
+    #[inline]
+    pub fn select(self, other: Self, mask: Mask4) -> Self {
+        Self {
+            x: self.x.select(other.x, mask),
+            y: self.y.select(other.y, mask),
+            z: self.z.select(other.z, mask),
+        }
+    }
+
     /// Dot product, evaluated in the exact association order of
     /// [`Vec3::dot`] (`0.0 + x·x + y·y + z·z`) so each lane matches the
     /// scalar result bit for bit.
@@ -352,12 +364,7 @@ impl Vec3x4 {
     pub fn normalized(self) -> Self {
         let len = self.length();
         let scaled = Self { x: self.x / len, y: self.y / len, z: self.z / len };
-        let keep = len.gt(F32x4::splat(1e-12));
-        Self {
-            x: scaled.x.select(self.x, keep),
-            y: scaled.y.select(self.y, keep),
-            z: scaled.z.select(self.z, keep),
-        }
+        scaled.select(self, len.gt(F32x4::splat(1e-12)))
     }
 }
 
@@ -448,9 +455,27 @@ mod tests {
         let a = F32x4::new(1.0, -2.0, 0.0, -0.0);
         let b = F32x4::new(-1.0, 3.0, 0.5, 0.0);
         for i in 0..LANES {
-            assert_eq!(a.min(b).lane(i).to_bits(), a.lane(i).min(b.lane(i)).to_bits());
-            assert_eq!(a.max(b).lane(i).to_bits(), a.lane(i).max(b.lane(i)).to_bits());
+            assert_eq!(a.min(b).lane(i).to_bits(), crate::min(a.lane(i), b.lane(i)).to_bits());
+            assert_eq!(a.max(b).lane(i).to_bits(), crate::max(a.lane(i), b.lane(i)).to_bits());
             assert_eq!(a.abs().lane(i).to_bits(), a.lane(i).abs().to_bits());
+        }
+        // Expected bits, on the scalar helpers and on the lanes: ties (±0
+        // included) keep the first operand, a NaN operand yields the other.
+        let nan = f32::NAN;
+        let cases: [(f32, f32, f32, f32); 4] = [
+            // (a, b, min(a, b), max(a, b))
+            (-0.0, 0.0, -0.0, -0.0),
+            (0.0, -0.0, 0.0, 0.0),
+            (nan, 2.5, 2.5, 2.5),
+            (-1.5, nan, -1.5, -1.5),
+        ];
+        let lhs = F32x4(cases.map(|c| c.0));
+        let rhs = F32x4(cases.map(|c| c.1));
+        for (i, &(x, y, lo, hi)) in cases.iter().enumerate() {
+            assert_eq!(crate::min(x, y).to_bits(), lo.to_bits(), "min({x:?}, {y:?})");
+            assert_eq!(crate::max(x, y).to_bits(), hi.to_bits(), "max({x:?}, {y:?})");
+            assert_eq!(lhs.min(rhs).lane(i).to_bits(), lo.to_bits(), "lane min({x:?}, {y:?})");
+            assert_eq!(lhs.max(rhs).lane(i).to_bits(), hi.to_bits(), "lane max({x:?}, {y:?})");
         }
     }
 
@@ -578,8 +603,8 @@ mod lane_proptests {
                 prop_assert_eq!(a.lt(b).lane(i), x < y);
                 prop_assert_eq!(a.le(b).lane(i), x <= y);
                 prop_assert_eq!(a.gt(b).lane(i), x > y);
-                prop_assert_eq!(a.min(b).lane(i).to_bits(), x.min(y).to_bits());
-                prop_assert_eq!(a.max(b).lane(i).to_bits(), x.max(y).to_bits());
+                prop_assert_eq!(a.min(b).lane(i).to_bits(), crate::min(x, y).to_bits());
+                prop_assert_eq!(a.max(b).lane(i).to_bits(), crate::max(x, y).to_bits());
                 let sel = a.select(b, a.lt(b));
                 prop_assert_eq!(sel.lane(i).to_bits(), if x < y { x } else { y }.to_bits());
             }
@@ -622,12 +647,12 @@ mod lane_proptests {
             let lo = pa.min_vec(b);
             let hi = pa.max_vec(b);
             for (i, v) in va.iter().enumerate() {
-                prop_assert_eq!(lo.lane(i).x.to_bits(), v.x.min(b.x).to_bits());
-                prop_assert_eq!(lo.lane(i).y.to_bits(), v.y.min(b.y).to_bits());
-                prop_assert_eq!(lo.lane(i).z.to_bits(), v.z.min(b.z).to_bits());
-                prop_assert_eq!(hi.lane(i).x.to_bits(), v.x.max(b.x).to_bits());
-                prop_assert_eq!(hi.lane(i).y.to_bits(), v.y.max(b.y).to_bits());
-                prop_assert_eq!(hi.lane(i).z.to_bits(), v.z.max(b.z).to_bits());
+                prop_assert_eq!(lo.lane(i).x.to_bits(), crate::min(v.x, b.x).to_bits());
+                prop_assert_eq!(lo.lane(i).y.to_bits(), crate::min(v.y, b.y).to_bits());
+                prop_assert_eq!(lo.lane(i).z.to_bits(), crate::min(v.z, b.z).to_bits());
+                prop_assert_eq!(hi.lane(i).x.to_bits(), crate::max(v.x, b.x).to_bits());
+                prop_assert_eq!(hi.lane(i).y.to_bits(), crate::max(v.y, b.y).to_bits());
+                prop_assert_eq!(hi.lane(i).z.to_bits(), crate::max(v.z, b.z).to_bits());
             }
         }
     }

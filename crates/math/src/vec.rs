@@ -83,10 +83,10 @@ macro_rules! impl_binops {
             fn div_assign(&mut self, s: f32) { *self = *self / s; }
         }
         impl $ty {
-            /// Component-wise minimum.
-            pub fn min(self, o: Self) -> Self { Self { $($f: self.$f.min(o.$f)),+ } }
-            /// Component-wise maximum.
-            pub fn max(self, o: Self) -> Self { Self { $($f: self.$f.max(o.$f)),+ } }
+            /// Component-wise [`crate::min`] (ties keep `self`'s component).
+            pub fn min(self, o: Self) -> Self { Self { $($f: crate::min(self.$f, o.$f)),+ } }
+            /// Component-wise [`crate::max`] (ties keep `self`'s component).
+            pub fn max(self, o: Self) -> Self { Self { $($f: crate::max(self.$f, o.$f)),+ } }
             /// Component-wise absolute value.
             pub fn abs(self) -> Self { Self { $($f: self.$f.abs()),+ } }
             /// Dot product.
@@ -105,16 +105,18 @@ macro_rules! impl_binops {
             }
             /// Linear interpolation between `self` and `o`.
             pub fn lerp(self, o: Self, t: f32) -> Self { self + (o - self) * t }
-            /// The largest component.
+            /// The largest component, folded through [`crate::max`] from
+            /// `-∞` in component order.
             pub fn max_component(self) -> f32 {
                 let mut m = f32::NEG_INFINITY;
-                $( m = m.max(self.$f); )+
+                $( m = crate::max(m, self.$f); )+
                 m
             }
-            /// The smallest component.
+            /// The smallest component, folded through [`crate::min`] from
+            /// `+∞` in component order.
             pub fn min_component(self) -> f32 {
                 let mut m = f32::INFINITY;
-                $( m = m.min(self.$f); )+
+                $( m = crate::min(m, self.$f); )+
                 m
             }
             /// `true` when every component is finite.

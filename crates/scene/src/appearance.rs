@@ -7,7 +7,7 @@
 //! the NeRFlex profiler models.
 
 use nerflex_image::Color;
-use nerflex_math::sampling::{fbm, value_noise};
+use nerflex_math::sampling::{fbm, fbm_cached, NoiseCell};
 use nerflex_math::Vec3;
 use serde::{Deserialize, Serialize};
 
@@ -117,15 +117,25 @@ impl Appearance {
     /// parameters). `cutoff` is in texels-per-unit — the baking simulator
     /// passes the texel density implied by the texture patch size so smaller
     /// patches yield blurrier baked colours.
+    ///
+    /// The one-shot case of [`Appearance::band_limited`]; resolve the
+    /// sampler once to evaluate many points at one cut-off.
     pub fn albedo_band_limited(&self, p: Vec3, n: Vec3, cutoff: f32) -> Color {
-        match self {
-            Appearance::Solid { color } => *color,
+        self.band_limited(cutoff).albedo(p, n)
+    }
+
+    /// This appearance with its band limit resolved for `cutoff`: which
+    /// detail survives the cut-off is decided here, once, instead of at
+    /// every point [`BandLimited::albedo`] evaluates.
+    pub fn band_limited(&self, cutoff: f32) -> BandLimited<'_> {
+        let resolved = match self {
+            Appearance::Solid { color } => Resolved::Flat(*color),
             Appearance::Checker { a, b, scale } => {
                 if *scale <= cutoff {
-                    self.albedo(p, n)
+                    Resolved::Full(self)
                 } else {
                     // Pattern unresolvable: average of the two tones.
-                    a.lerp(*b, 0.5)
+                    Resolved::Flat(a.lerp(*b, 0.5))
                 }
             }
             Appearance::Noise { base, accent, frequency, octaves } => {
@@ -138,28 +148,83 @@ impl Appearance {
                     }
                     f *= 2.0;
                 }
+                let (base, accent, frequency) = (*base, *accent, *frequency);
                 if usable == 0 {
-                    let t = value_noise(p, cutoff.min(*frequency));
-                    return base.lerp(*accent, 0.25 + 0.5 * t);
+                    let frequency = cutoff.min(frequency);
+                    Resolved::Blurred { base, accent, frequency, cell: NoiseCell::default() }
+                } else {
+                    let cells = vec![NoiseCell::default(); usable as usize];
+                    Resolved::Octaves { base, accent, frequency, cells }
                 }
-                let t = fbm(p, *frequency, usable);
-                base.lerp(*accent, t)
             }
             Appearance::Stripes { a, b, frequency } => {
                 if *frequency <= cutoff {
-                    self.albedo(p, n)
+                    Resolved::Full(self)
                 } else {
-                    a.lerp(*b, 0.5)
+                    Resolved::Flat(a.lerp(*b, 0.5))
                 }
             }
             Appearance::Studs { base, highlight, frequency } => {
                 if *frequency <= cutoff {
-                    self.albedo(p, n)
+                    Resolved::Full(self)
                 } else {
-                    // Studs unresolvable: only the broad up-facing tint survives.
-                    base.lerp(*highlight, 0.3 * n.y.max(0.0))
+                    Resolved::Tint { base: *base, highlight: *highlight }
                 }
             }
+        };
+        BandLimited { resolved }
+    }
+}
+
+/// An [`Appearance`] with its band limit resolved for one cut-off
+/// ([`Appearance::band_limited`]).
+///
+/// Each kept noise octave remembers the corner hashes of the lattice cell
+/// it evaluated last ([`NoiseCell`]), so consecutive points in one cell
+/// skip rehashing it. That memoises a pure function: every colour is
+/// bit-identical to [`Appearance::albedo_band_limited`] at the same point,
+/// whatever was evaluated before.
+#[derive(Debug, Clone)]
+pub struct BandLimited<'a> {
+    resolved: Resolved<'a>,
+}
+
+#[derive(Debug, Clone)]
+enum Resolved<'a> {
+    /// Every detail is below the cut-off: the full albedo.
+    Full(&'a Appearance),
+    /// No position-dependent detail survives.
+    Flat(Color),
+    /// The first `cells.len()` fBm octaves survive, one cell each.
+    Octaves { base: Color, accent: Color, frequency: f32, cells: Vec<NoiseCell> },
+    /// No octave survives: one value-noise layer at `frequency`, in a
+    /// narrower contrast band.
+    Blurred { base: Color, accent: Color, frequency: f32, cell: NoiseCell },
+    /// Studs unresolvable: only the broad up-facing tint survives.
+    Tint { base: Color, highlight: Color },
+}
+
+impl BandLimited<'_> {
+    /// Whether [`BandLimited::albedo`] reads its normal argument: only
+    /// studs do, so other callers may pass any normal.
+    pub fn reads_normal(&self) -> bool {
+        matches!(self.resolved, Resolved::Full(Appearance::Studs { .. }) | Resolved::Tint { .. })
+    }
+
+    /// Band-limited albedo at surface point `p` with surface normal `n`.
+    pub fn albedo(&mut self, p: Vec3, n: Vec3) -> Color {
+        match &mut self.resolved {
+            Resolved::Full(appearance) => appearance.albedo(p, n),
+            Resolved::Flat(color) => *color,
+            Resolved::Octaves { base, accent, frequency, cells } => {
+                let t = fbm_cached(p, *frequency, cells.len() as u32, cells);
+                base.lerp(*accent, t)
+            }
+            Resolved::Blurred { base, accent, frequency, cell } => {
+                let t = cell.value_noise(p, *frequency);
+                base.lerp(*accent, 0.25 + 0.5 * t)
+            }
+            Resolved::Tint { base, highlight } => base.lerp(*highlight, 0.3 * n.y.max(0.0)),
         }
     }
 }

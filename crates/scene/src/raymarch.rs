@@ -40,7 +40,7 @@ use nerflex_image::{Color, Image};
 use nerflex_math::pool::{default_workers, parallel_map};
 use nerflex_math::simd::LANES;
 use nerflex_math::transform::camera_to_world;
-use nerflex_math::{Aabb, F32x4, Mask4, Mat4, Ray, Vec3, Vec3x4};
+use nerflex_math::{max, Aabb, F32x4, Mask4, Mat4, Ray, Vec3, Vec3x4};
 
 /// Maximum sphere-tracing steps per ray.
 const MAX_STEPS: usize = 96;
@@ -67,7 +67,7 @@ pub struct Hit {
 pub fn shade(albedo: Color, normal: Vec3) -> Color {
     let key = Vec3::new(0.5, 0.8, 0.3).normalized();
     let fill = Vec3::new(-0.6, 0.4, -0.5).normalized();
-    let diffuse = 0.75 * normal.dot(key).max(0.0) + 0.35 * normal.dot(fill).max(0.0);
+    let diffuse = 0.75 * max(normal.dot(key), 0.0) + 0.35 * max(normal.dot(fill), 0.0);
     let light = 0.25 + diffuse;
     albedo.scale(light).clamped()
 }
@@ -109,7 +109,7 @@ pub fn trace(scene: &Scene, boxes: &[Aabb], ray: &Ray, max_distance: f32) -> Opt
             let normal = obj.world_sdf().normal(p);
             return Some(Hit { t, point: p, normal, object_id: id });
         }
-        t += d.max(HIT_EPS * 0.5);
+        t += max(d, HIT_EPS * 0.5);
         if t > max_distance {
             break;
         }
@@ -165,7 +165,7 @@ pub fn trace_packet(
                 }
                 active.0[lane] = false;
             } else {
-                let next = t.lane(lane) + dl.max(HIT_EPS * 0.5);
+                let next = t.lane(lane) + max(dl, HIT_EPS * 0.5);
                 t.set_lane(lane, next);
                 if next > max_distance {
                     active.0[lane] = false;

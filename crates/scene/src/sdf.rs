@@ -5,7 +5,7 @@
 //! oracle for the voxel-grid baking simulator, and (c) analytic normals —
 //! everything the paper obtains from trained NeRF density fields.
 
-use nerflex_math::{Aabb, F32x4, Vec3, Vec3x4};
+use nerflex_math::{max, min, Aabb, F32x4, Vec3, Vec3x4};
 
 /// A node in a signed-distance-field expression tree.
 ///
@@ -124,11 +124,11 @@ impl Sdf {
             Sdf::Sphere { radius } => p.length() - radius,
             Sdf::Box { half_extent } => {
                 let q = p.abs() - *half_extent;
-                q.max(Vec3::ZERO).length() + q.max_component().min(0.0)
+                q.max(Vec3::ZERO).length() + min(q.max_component(), 0.0)
             }
             Sdf::RoundedBox { half_extent, radius } => {
                 let q = p.abs() - *half_extent;
-                q.max(Vec3::ZERO).length() + q.max_component().min(0.0) - radius
+                q.max(Vec3::ZERO).length() + min(q.max_component(), 0.0) - radius
             }
             Sdf::Capsule { a, b, radius } => {
                 let pa = p - *a;
@@ -139,8 +139,8 @@ impl Sdf {
             Sdf::Cylinder { half_height, radius } => {
                 let d_xz = (p.x * p.x + p.z * p.z).sqrt() - radius;
                 let d_y = p.y.abs() - half_height;
-                let outside = Vec3::new(d_xz.max(0.0), d_y.max(0.0), 0.0).length();
-                let inside = d_xz.max(d_y).min(0.0);
+                let outside = Vec3::new(max(d_xz, 0.0), max(d_y, 0.0), 0.0).length();
+                let inside = min(max(d_xz, d_y), 0.0);
                 outside + inside
             }
             Sdf::Torus { major_radius, minor_radius } => {
@@ -161,17 +161,15 @@ impl Sdf {
                 }
                 k0 * (k0 - 1.0) / k1
             }
-            Sdf::Union(children) => {
-                children.iter().map(|c| c.distance(p)).fold(f32::INFINITY, f32::min)
-            }
+            Sdf::Union(children) => children.iter().map(|c| c.distance(p)).fold(f32::INFINITY, min),
             Sdf::SmoothUnion { a, b, k } => {
                 let da = a.distance(p);
                 let db = b.distance(p);
                 let h = (0.5 + 0.5 * (db - da) / k).clamp(0.0, 1.0);
                 db + (da - db) * h - k * h * (1.0 - h)
             }
-            Sdf::Subtract { a, b } => a.distance(p).max(-b.distance(p)),
-            Sdf::Intersect { a, b } => a.distance(p).max(b.distance(p)),
+            Sdf::Subtract { a, b } => max(a.distance(p), -b.distance(p)),
+            Sdf::Intersect { a, b } => max(a.distance(p), b.distance(p)),
             Sdf::Translate { offset, child } => child.distance(p - *offset),
             Sdf::Scale { factor, child } => child.distance(p / *factor) * *factor,
             Sdf::RotateY { angle, child } => {
