@@ -284,6 +284,14 @@ impl EntryCodec for BakeEntryCodec {
         disk::encode_entry(key.0, asset)
     }
 
+    /// Textures every atlas quad no render read, so a flush spreads that
+    /// work over the pool and its batched encodes only copy texels.
+    fn prepare(asset: &BakedAsset) {
+        for q in 0..asset.atlas.quad_count() {
+            let _ = asset.atlas.quad_texels(q);
+        }
+    }
+
     fn decode(key: &Self::Key, bytes: &[u8], (): ()) -> Option<Arc<BakedAsset>> {
         // The embedded key must echo the file name the entry was indexed by.
         let (fingerprint, config, asset) = disk::decode_entry(bytes).ok()?;
@@ -643,6 +651,38 @@ mod tests {
         assert_eq!(*first.mesh, *second.mesh);
         assert_eq!(*first.atlas, *second.atlas);
         assert_eq!(first.size_bytes(), second.size_bytes());
+    }
+
+    #[test]
+    fn pool_flush_writes_what_serial_encoding_writes() {
+        let tmp = TempDir::new("pool-flush");
+        let model = CanonicalObject::Chair.build();
+        let fingerprint = model_fingerprint(&model);
+        // Nine dirty entries: more than one flush batch, both families.
+        let configs = [
+            BakeConfig::new(10, 3),
+            BakeConfig::new(10, 5),
+            BakeConfig::new(10, 7),
+            BakeConfig::new(12, 3),
+            BakeConfig::new(12, 6),
+            BakeConfig::new(14, 4),
+            BakeConfig::splat(12, 64),
+            BakeConfig::splat(12, 128),
+            BakeConfig::splat(14, 256),
+        ];
+        let cache = BakeCache::open(&tmp.0).expect("open");
+        for &config in &configs {
+            let _ = cache.get_or_bake(&model, config);
+        }
+        assert_eq!(cache.flush().expect("flush"), configs.len());
+        for config in configs {
+            // A fresh, untouched bake encoded on this thread.
+            let key = (fingerprint, config);
+            let serial = BakeEntryCodec::encode(&key, &crate::asset::bake_object(&model, config));
+            let written = std::fs::read(tmp.0.join(BakeEntryCodec::file_name(&key)))
+                .expect("flush wrote the entry");
+            assert!(written == serial, "{config:?}");
+        }
     }
 
     #[test]

@@ -163,13 +163,16 @@ pub fn encode_entry(fingerprint: u64, asset: &BakedAsset) -> Vec<u8> {
         put_vec3(&mut out, quad.face_normal);
     }
 
-    // Atlas.
+    // Atlas: the one reader of every texel, so this is where an on-demand
+    // atlas textures the quads no render has read.
     let atlas = &asset.atlas;
     put_u32(&mut out, atlas.patch());
     put_u64(&mut out, atlas.quad_count() as u64);
-    put_u64(&mut out, atlas.texel_data().len() as u64);
-    for texel in atlas.texel_data() {
-        out.extend_from_slice(texel);
+    put_u64(&mut out, atlas.texel_count() as u64);
+    for q in 0..atlas.quad_count() {
+        for texel in atlas.quad_texels(q) {
+            out.extend_from_slice(texel);
+        }
     }
 
     // Optional deferred-shading MLP.
@@ -520,6 +523,7 @@ pub fn deployment_fingerprint(assets: &[BakedAsset]) -> u64 {
 mod tests {
     use super::*;
     use crate::asset::bake_object;
+    use crate::surface::BakeSurface;
     use nerflex_scene::object::CanonicalObject;
 
     fn sample_asset(with_mlp: bool) -> BakedAsset {
@@ -581,6 +585,48 @@ mod tests {
         // Re-encoding a decoded entry is byte-identical: cached and fresh
         // assets produce the same `placed_asset_bytes`.
         assert_eq!(encode_entry(0xfeed_f00d, &decoded), bytes);
+    }
+
+    #[test]
+    fn on_demand_assets_size_and_encode_like_eager_ones() {
+        let model = CanonicalObject::Lego.build();
+        let splat = bake_object(&model, BakeConfig::splat(12, 128));
+        for config in [BakeConfig::new(12, 3), BakeConfig::new(10, 6)] {
+            let cutoff = BakeSurface::mesh(&model.sdf, config.grid).texel_cutoff(config.patch);
+            let eager_of = |lazy: &BakedAsset| BakedAsset {
+                atlas: Arc::new(TextureAtlas::bake(
+                    &lazy.mesh,
+                    &model.appearance,
+                    config.patch,
+                    cutoff,
+                )),
+                ..lazy.clone()
+            };
+            let untouched = bake_object(&model, config);
+            let eager = eager_of(&untouched);
+            assert_eq!(untouched.size_mb().to_bits(), eager.size_mb().to_bits(), "{config:?}");
+            assert_eq!(untouched.atlas.texturings(), 0, "sizing textures nothing");
+            // A partly read atlas (a probe render's reads) and an untouched
+            // one both encode to the eager bytes, and only encoding forces
+            // the rest.
+            let partly = bake_object(&model, config);
+            let quads = partly.atlas.quad_count();
+            for q in (0..quads).rev().step_by(3) {
+                let _ = partly.atlas.quad_texels(q);
+            }
+            assert_eq!(partly.atlas.texturings(), quads.div_ceil(3));
+            for lazy in [&untouched, &partly] {
+                assert!(encode_entry(7, lazy) == encode_entry(7, &eager), "{config:?}");
+                assert_eq!(lazy.atlas.texturings(), quads, "each quad textured once");
+            }
+            // A deployment mixing on-demand mesh assets with a splat asset
+            // fingerprints like the eager one.
+            let fresh = bake_object(&model, config);
+            assert_eq!(
+                deployment_fingerprint(&[fresh, splat.clone()]),
+                deployment_fingerprint(&[eager_of(&untouched), splat.clone()])
+            );
+        }
     }
 
     #[test]

@@ -32,6 +32,8 @@
 use crate::backend::{
     DirBackend, EntryMeta, PrefixedBackend, RetryPolicy, SharedBackend, StoreBackend,
 };
+use nerflex_math::pool::default_workers;
+use nerflex_math::WorkerPool;
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -170,7 +172,7 @@ pub fn prune_backend(backend: &dyn StoreBackend, limits: &StoreLimits) -> io::Re
 pub trait EntryCodec {
     /// Cache key. File names must round-trip through
     /// [`EntryCodec::file_name`] / [`EntryCodec::parse_file_name`].
-    type Key: Copy + Eq + std::hash::Hash + Send;
+    type Key: Copy + Eq + std::hash::Hash + Send + Sync;
     /// Decoded entry value, shared behind `Arc` by every hit.
     type Value: Send + Sync;
     /// Extra context [`EntryCodec::decode`] needs at lookup time (e.g. the
@@ -192,6 +194,13 @@ pub trait EntryCodec {
     /// Serializes one entry, embedding the key and whatever framing the
     /// format requires for [`EntryCodec::decode`] to be total.
     fn encode(key: &Self::Key, value: &Self::Value) -> Vec<u8>;
+
+    /// Work [`EntryCodec::encode`] needs done first that can run on any
+    /// thread and in any order, such as texturing a bake's on-demand atlas.
+    /// A flush runs it for every dirty entry in one pool dispatch, so
+    /// entries of very different cost balance across the workers, before
+    /// encoding them a batch at a time. The default does nothing.
+    fn prepare(_value: &Self::Value) {}
 
     /// Deserializes and fully validates one entry: any truncation, bad
     /// magic, foreign version, checksum failure or key mismatch yields
@@ -559,6 +568,11 @@ impl<C: EntryCodec> Drop for PendingGuard<'_, C> {
     }
 }
 
+/// Dirty entries a flush encodes per pool dispatch: enough to keep every
+/// worker of a small machine busy, few enough that only a handful of
+/// encoded entries are held at once.
+const FLUSH_BATCH: usize = 8;
+
 /// A thread-safe, content-addressed store of `Arc`-shared values with an
 /// optional persistent layer — the machinery common to [`crate::BakeCache`]
 /// and the ground-truth cache (see the module docs for what lives here vs
@@ -779,7 +793,10 @@ impl<C: EntryCodec> KeyedStore<C> {
     /// read-only stores). The dirty entries are snapshotted first and the
     /// writes happen **outside the entry lock**, so concurrent lookups and
     /// builds proceed during large flushes; each entry is written
-    /// atomically ([`StoreBackend::write_atomic`]).
+    /// atomically ([`StoreBackend::write_atomic`]). Entries are prepared
+    /// ([`EntryCodec::prepare`]) and then encoded on the shared
+    /// [`WorkerPool`], a bounded batch at a time, and written in snapshot
+    /// order.
     ///
     /// # Errors
     ///
@@ -813,15 +830,26 @@ impl<C: EntryCodec> KeyedStore<C> {
                 })
                 .collect()
         };
-        // …then write without it. Values are immutable once built, so the
-        // snapshot cannot go stale.
+        // …then prepare, encode and write without it. Values are immutable
+        // once built (an on-demand atlas only fills in texels that are pure
+        // functions of the entry), so the snapshot cannot go stale.
+        // Preparing can be the costly part, and uneven across entries, so
+        // every entry prepares in one pool dispatch; each batch then
+        // encodes on the pool, and writes keep the snapshot order.
+        let pool = WorkerPool::shared();
+        pool.run(dirty.len(), default_workers(dirty.len()), |idx| C::prepare(&dirty[idx].1));
         let mut written = Vec::with_capacity(dirty.len());
-        for (key, value) in dirty {
-            let bytes = C::encode(&key, &value);
-            let name = C::file_name(&key);
-            match backend.write_atomic(&name, &bytes) {
-                Ok(()) => written.push(key),
-                Err(err) => report.failures.push((name, err)),
+        for batch in dirty.chunks(FLUSH_BATCH) {
+            let encoded = pool.run(batch.len(), default_workers(batch.len()), |idx| {
+                let (key, value) = &batch[idx];
+                C::encode(key, value)
+            });
+            for ((key, _), bytes) in batch.iter().zip(encoded) {
+                let name = C::file_name(key);
+                match backend.write_atomic(&name, &bytes) {
+                    Ok(()) => written.push(*key),
+                    Err(err) => report.failures.push((name, err)),
+                }
             }
         }
         let mut entries = lock_valid(&self.entries);

@@ -89,8 +89,9 @@ impl BakeSurface {
     }
 
     /// Finishes the local-frame bake of `model` at `config` from this
-    /// surface: textures the shared mesh at `config.patch`, or subsamples
-    /// and refines the shared seeds to the splat count.
+    /// surface: an atlas of the shared mesh at `config.patch`, textured on
+    /// demand (each quad at its first read), or the shared seeds
+    /// subsampled and refined to the splat count.
     ///
     /// # Panics
     ///
@@ -99,8 +100,8 @@ impl BakeSurface {
         assert_eq!(config.grid, self.grid, "configuration grid differs from the surface's");
         let (mesh, atlas, splats) = match (&self.shape, config.family) {
             (Shape::Mesh(mesh), BakeFamily::Mesh) => {
-                let atlas = TextureAtlas::bake(
-                    mesh,
+                let atlas = TextureAtlas::on_demand(
+                    Arc::clone(mesh),
                     &model.appearance,
                     config.patch,
                     self.texel_cutoff(config.patch),

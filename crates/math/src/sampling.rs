@@ -118,7 +118,9 @@ impl NoiseCell {
         if self.cell != Some([x0, y0, z0]) {
             for (i, corner) in self.corners.iter_mut().enumerate() {
                 let (dx, dy, dz) = ((i & 1) as i32, ((i >> 1) & 1) as i32, (i >> 2) as i32);
-                *corner = hash_cell(x0 + dx, y0 + dy, z0 + dz);
+                // `as i32` saturates, so the far corner of the `i32::MAX`
+                // cell wraps to `i32::MIN`, in every build profile.
+                *corner = hash_cell(x0.wrapping_add(dx), y0.wrapping_add(dy), z0.wrapping_add(dz));
             }
             self.cell = Some([x0, y0, z0]);
         }
@@ -204,7 +206,8 @@ mod tests {
         for dz in 0..2 {
             for dy in 0..2 {
                 for dx in 0..2 {
-                    let corner = hash_cell(x0 + dx, y0 + dy, z0 + dz);
+                    let corner =
+                        hash_cell(x0.wrapping_add(dx), y0.wrapping_add(dy), z0.wrapping_add(dz));
                     let wx = if dx == 1 { w.x } else { 1.0 - w.x };
                     let wy = if dy == 1 { w.y } else { 1.0 - w.y };
                     let wz = if dz == 1 { w.z } else { 1.0 - w.z };
@@ -219,11 +222,13 @@ mod tests {
     fn noise_cells_reuse_corners_without_changing_a_bit() {
         // A walk that stays in cells, leaves and revisits them, starts in
         // cell (0, 0, 0) (what a zeroed sentinel would claim to hold) and
-        // reaches the saturated cell `i32::MIN` and a NaN point.
+        // reaches the saturated cells `i32::MIN` and `i32::MAX` (whose far
+        // corners wrap) and a NaN point.
         let mut points = vec![Vec3::new(0.1, 0.2, 0.3), Vec3::new(0.15, 0.25, 0.35)];
         points.extend((0..64).map(|i| Vec3::new(i as f32 * 0.07, -0.4, 1.3 - i as f32 * 0.02)));
         points.push(Vec3::new(0.1, 0.2, 0.3));
         points.extend([Vec3::splat(-1e12), Vec3::new(-1e12, -1e12, -1e12 + 1.0)]);
+        points.extend([Vec3::splat(1e10), Vec3::new(6e8, 0.1, 0.2)]);
         points.push(Vec3::new(f32::NAN, 0.0, 0.0));
         points.push(Vec3::ZERO);
         let bits = |x: f32| x.to_bits();
@@ -247,6 +252,12 @@ mod tests {
             assert_eq!(bits(fbm(p, 2.0, 5)), bits(reference_fbm(p)));
         }
         assert_eq!(cell.cell, Some([0, 0, 0]));
+        // Pinned to the release build's values (overflow checks off, so a
+        // plain `+` wrapped there too): every build profile agrees.
+        assert_eq!(bits(value_noise(Vec3::splat(1e10), 4.0)), 0x3e7f_843c);
+        assert_eq!(bits(fbm(Vec3::splat(1e10), 2.0, 5)), 0x3e7f_843c);
+        assert_eq!(bits(value_noise(Vec3::new(6e8, 0.1, 0.2), 4.0)), 0x3ea1_2ea4);
+        assert_eq!(bits(fbm(Vec3::new(6e8, 0.1, 0.2), 2.0, 5)), 0x3f06_6ce7);
     }
 
     #[test]

@@ -127,12 +127,12 @@ impl Appearance {
     /// This appearance with its band limit resolved for `cutoff`: which
     /// detail survives the cut-off is decided here, once, instead of at
     /// every point [`BandLimited::albedo`] evaluates.
-    pub fn band_limited(&self, cutoff: f32) -> BandLimited<'_> {
+    pub fn band_limited(&self, cutoff: f32) -> BandLimited {
         let resolved = match self {
             Appearance::Solid { color } => Resolved::Flat(*color),
             Appearance::Checker { a, b, scale } => {
                 if *scale <= cutoff {
-                    Resolved::Full(self)
+                    Resolved::Full(self.clone())
                 } else {
                     // Pattern unresolvable: average of the two tones.
                     Resolved::Flat(a.lerp(*b, 0.5))
@@ -159,14 +159,14 @@ impl Appearance {
             }
             Appearance::Stripes { a, b, frequency } => {
                 if *frequency <= cutoff {
-                    Resolved::Full(self)
+                    Resolved::Full(self.clone())
                 } else {
                     Resolved::Flat(a.lerp(*b, 0.5))
                 }
             }
             Appearance::Studs { base, highlight, frequency } => {
                 if *frequency <= cutoff {
-                    Resolved::Full(self)
+                    Resolved::Full(self.clone())
                 } else {
                     Resolved::Tint { base: *base, highlight: *highlight }
                 }
@@ -183,16 +183,17 @@ impl Appearance {
 /// it evaluated last ([`NoiseCell`]), so consecutive points in one cell
 /// skip rehashing it. That memoises a pure function: every colour is
 /// bit-identical to [`Appearance::albedo_band_limited`] at the same point,
-/// whatever was evaluated before.
+/// whatever was evaluated before. The sampler owns what it evaluates, so an
+/// on-demand texture atlas can keep one and texture each quad with a clone.
 #[derive(Debug, Clone)]
-pub struct BandLimited<'a> {
-    resolved: Resolved<'a>,
+pub struct BandLimited {
+    resolved: Resolved,
 }
 
 #[derive(Debug, Clone)]
-enum Resolved<'a> {
+enum Resolved {
     /// Every detail is below the cut-off: the full albedo.
-    Full(&'a Appearance),
+    Full(Appearance),
     /// No position-dependent detail survives.
     Flat(Color),
     /// The first `cells.len()` fBm octaves survive, one cell each.
@@ -204,7 +205,7 @@ enum Resolved<'a> {
     Tint { base: Color, highlight: Color },
 }
 
-impl BandLimited<'_> {
+impl BandLimited {
     /// Whether [`BandLimited::albedo`] reads its normal argument: only
     /// studs do, so other callers may pass any normal.
     pub fn reads_normal(&self) -> bool {
