@@ -79,6 +79,6 @@ pub use pipeline::{
     StageTimings,
 };
 pub use service::{
-    CompletedDeploy, DeployOutcome, DeployRequest, DeployService, DeployTicket, DrainPolicy,
-    ServiceOptions, ServiceStats,
+    CompletedDeploy, DeployOutcome, DeployRequest, DeployService, DeployTicket, ServiceOptions,
+    ServiceStats,
 };

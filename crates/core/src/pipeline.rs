@@ -25,7 +25,10 @@
 
 use crate::fault::{StageFaultInjector, StageOp};
 use crate::report::format_duration;
-use nerflex_bake::{BakeCache, BakeConfig, BakedAsset, CacheStats, StoreLimits, StoreOptions};
+use nerflex_bake::cache::BakeEntryCodec;
+use nerflex_bake::{
+    BakeCache, BakeConfig, BakedAsset, CacheStats, EntryCodec, StoreLimits, StoreOptions,
+};
 use nerflex_device::{DeviceSpec, Workload};
 use nerflex_math::WorkerPool;
 use nerflex_profile::{
@@ -710,7 +713,12 @@ impl NerflexPipeline {
                 .assignment_for(object.id)
                 .map(|a| a.config)
                 .unwrap_or(BakeConfig::MOBILENERF_DEFAULT.clamped());
-            cache.get_or_bake_placed(object, config)
+            let asset = cache.get_or_bake_placed(object, config);
+            // Texture the atlas quads no render read here, on the pool, so
+            // `deployment_fingerprint` on the request thread only copies
+            // texels.
+            BakeEntryCodec::prepare(&asset);
+            asset
         });
         let delta = cache.stats().since(&before);
         (assets, t.elapsed(), delta, workers)

@@ -66,7 +66,7 @@ use nerflex_seg::SegmentationResult;
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -205,11 +205,12 @@ impl DeployTicket {
 }
 
 /// One finished request: the ticket plus either the completed deployment
-/// or the [`PipelineError`] that stopped it. A request only fails when a
-/// store fault deliberately escalated out of its build
-/// ([`nerflex_bake::StoreFaultPanic`] → [`PipelineError::Store`]); transient
-/// remote faults are retried and a degraded remote is recomputed around, so
-/// those never surface here.
+/// or the [`PipelineError`] that stopped it — a lifecycle decision
+/// (cancelled, past deadline, shed, stalled) or a fault that deliberately
+/// escalated out of its build ([`nerflex_bake::StoreFaultPanic`] →
+/// [`PipelineError::Store`], [`crate::fault::StageFaultPanic`] →
+/// [`PipelineError::Stage`]). Transient remote faults are retried and a
+/// degraded remote is recomputed around, so those never surface here.
 #[derive(Debug, Clone)]
 pub struct DeployOutcome {
     /// The ticket [`DeployService::submit`] returned for this request.
@@ -260,8 +261,14 @@ pub struct CompletedDeploy {
 // Stats and options
 // ---------------------------------------------------------------------------
 
-/// Counters describing what a [`DeployService`] has done — the fig9-style
-/// numbers the service bench surfaces as JSON.
+/// Counters describing what a [`DeployService`] has done (fig9 reports them
+/// as JSON).
+///
+/// An outcome counter moves only when its ticket settles, in the same
+/// critical section that takes the ticket out of the queue or out of
+/// flight, so every snapshot balances: `admitted` plus the submits refused
+/// as [`PipelineError::Overloaded`] equals `completed + failed + cancelled +
+/// deadline_exceeded + shed + watchdog_trips + in_flight + queue_depth`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServiceStats {
     /// Requests admitted (tickets issued).
@@ -270,8 +277,9 @@ pub struct ServiceStats {
     pub rejected: u64,
     /// Requests completed successfully (deployments produced).
     pub completed: u64,
-    /// Requests that finished with a failed outcome (a store fault escalated
-    /// as [`PipelineError::Store`]). Not counted in `completed`.
+    /// Requests that finished with a failed outcome: a store fault escalated
+    /// as [`PipelineError::Store`] or a stage fault as
+    /// [`PipelineError::Stage`]. Not counted in `completed`.
     pub failed: u64,
     /// Completed requests that reused another request's shared-stage run.
     pub coalesced: u64,
@@ -294,8 +302,9 @@ pub struct ServiceStats {
     /// Requests that missed their [`DeployRequest::with_deadline`] — already
     /// expired at admission or aborted at a stage boundary.
     pub deadline_exceeded: u64,
-    /// Requests shed by bounded admission ([`ServiceOptions::with_queue_limit`]),
-    /// by a shedding drain, or by shutdown with work still queued.
+    /// Requests shed by bounded admission ([`ServiceOptions::with_queue_limit`]:
+    /// queued victims and refused submits alike) or by shutdown with work
+    /// still queued.
     pub shed: u64,
     /// In-flight requests the stall watchdog gave up on
     /// ([`ServiceOptions::with_watchdog_ticks`]).
@@ -327,19 +336,6 @@ impl std::fmt::Display for ServiceStats {
     }
 }
 
-/// What [`DeployService::drain`] does with requests still queued when the
-/// drain starts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DrainPolicy {
-    /// Finish everything already admitted before shutting down (default).
-    #[default]
-    Finish,
-    /// Shed everything still queued — each sheds as a
-    /// [`PipelineError::Overloaded`] outcome — and only finish what is
-    /// already in flight.
-    Shed,
-}
-
 /// How to run a [`DeployService`].
 #[derive(Debug, Clone)]
 pub struct ServiceOptions {
@@ -356,8 +352,6 @@ pub struct ServiceOptions {
     /// the lowest-priority-newest request is shed — see
     /// [`ServiceOptions::with_queue_limit`].
     pub queue_limit: Option<usize>,
-    /// What [`DeployService::drain`] does with still-queued requests.
-    pub drain_policy: DrainPolicy,
     /// Stall watchdog: an in-flight request that makes no progress for this
     /// many clock ticks is given up on — see
     /// [`ServiceOptions::with_watchdog_ticks`]. `None` (default) disables
@@ -371,14 +365,7 @@ pub struct ServiceOptions {
 impl ServiceOptions {
     /// Inline mode (no executor threads) over the given engine options.
     pub fn inline(pipeline: PipelineOptions) -> Self {
-        Self {
-            pipeline,
-            executors: 0,
-            queue_limit: None,
-            drain_policy: DrainPolicy::Finish,
-            watchdog_ticks: None,
-            clock: None,
-        }
+        Self { pipeline, executors: 0, queue_limit: None, watchdog_ticks: None, clock: None }
     }
 
     /// Returns the options with `executors` background executor threads.
@@ -398,12 +385,6 @@ impl ServiceOptions {
     /// on queue contents, never on timing.
     pub fn with_queue_limit(mut self, limit: usize) -> Self {
         self.queue_limit = Some(limit);
-        self
-    }
-
-    /// Sets what [`DeployService::drain`] does with still-queued requests.
-    pub fn with_drain_policy(mut self, policy: DrainPolicy) -> Self {
-        self.drain_policy = policy;
         self
     }
 
@@ -492,23 +473,61 @@ struct InFlightState {
     /// Clock tick of the last observed progress (claim, stage boundary,
     /// shared-stage handoff). The watchdog measures staleness against this.
     last_progress: AtomicU64,
-    /// Set by the watchdog when it gives up on this request. The processing
-    /// thread, should it ever finish, discards its outcome — the consumer
-    /// already received a [`PipelineError::Stalled`] one.
-    tripped: AtomicBool,
 }
 
-/// Queue + completion state behind one mutex.
+/// Queue, flight and completion state behind one mutex.
 struct QueueState {
     queued: Vec<Queued>,
     completed: VecDeque<DeployOutcome>,
-    in_flight: usize,
-    /// id → lifecycle flags for every claimed request.
+    /// id → lifecycle flags for every claimed request not yet settled.
     inflight: HashMap<u64, Arc<InFlightState>>,
-    /// Admission closed by `drain`; submits fail with
+    /// Requests the watchdog settled whose thread has not returned yet.
+    /// `shutdown` does not join the executors while any remain.
+    abandoned: usize,
+    /// The admission and outcome counters. The live fields (`in_flight`,
+    /// `queue_depth`, the dedup counts, `shared_stage_runs`) stay zero here:
+    /// [`DeployService::stats`] reads them where they live.
+    counts: ServiceStats,
+    /// Admission closed by `drain` or `shutdown`; submits fail with
     /// [`PipelineError::Draining`].
     draining: bool,
     shutdown: bool,
+}
+
+impl QueueState {
+    /// Issues the next ticket (admission order) and counts it admitted.
+    fn admit(&mut self, scene_key: u64) -> DeployTicket {
+        let ticket = DeployTicket { id: self.counts.admitted, scene_key };
+        self.counts.admitted += 1;
+        ticket
+    }
+
+    /// Settles one ticket: counts its outcome and queues it for the
+    /// consumers. Every outcome goes through here, under the same lock hold
+    /// that took its ticket out of the queue or out of `inflight`.
+    fn settle(&mut self, outcome: DeployOutcome) {
+        self.counts.count(&outcome.result);
+        self.completed.push_back(outcome);
+    }
+}
+
+impl ServiceStats {
+    /// Counts one settled outcome by its result — or a submit refused as
+    /// [`PipelineError::Overloaded`], which sheds like a queued victim.
+    fn count(&mut self, result: &Result<CompletedDeploy, PipelineError>) {
+        let counter = match result {
+            Ok(done) => {
+                self.coalesced += u64::from(done.coalesced);
+                &mut self.completed
+            }
+            Err(PipelineError::Cancelled) => &mut self.cancelled,
+            Err(PipelineError::DeadlineExceeded { .. }) => &mut self.deadline_exceeded,
+            Err(PipelineError::Overloaded { .. }) => &mut self.shed,
+            Err(PipelineError::Stalled { .. }) => &mut self.watchdog_trips,
+            Err(_) => &mut self.failed,
+        };
+        *counter += 1;
+    }
 }
 
 struct ServiceShared {
@@ -518,29 +537,17 @@ struct ServiceShared {
     queue: Mutex<QueueState>,
     /// Signals executors: a request was admitted or shutdown requested.
     work: Condvar,
-    /// Signals consumers: an outcome landed or `in_flight` changed.
+    /// Signals consumers: an outcome landed or a request left flight.
     done: Condvar,
     /// scene_key → coalescing cell. Lock order: `queue` → `stages` →
     /// `StageCell::state`; builds run with no lock held.
     stages: Mutex<HashMap<u64, Arc<StageCell>>>,
-    /// First panic payloads from executor threads, re-raised on the next
-    /// consumer call so a dying request can't hang `drain`.
+    /// Unclassified panic payloads from request threads, re-raised on the
+    /// next consumer call so a dying request can't hang `drain`.
     panics: Mutex<Vec<Box<dyn Any + Send>>>,
-    next_ticket: AtomicU64,
-    admitted: AtomicU64,
-    rejected: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    coalesced: AtomicU64,
-    shared_stage_runs: AtomicUsize,
-    cancelled: AtomicU64,
-    deadline_exceeded: AtomicU64,
-    shed: AtomicU64,
-    watchdog_trips: AtomicU64,
     /// Virtual time source for deadlines and the watchdog.
     clock: Arc<dyn Clock>,
     queue_limit: Option<usize>,
-    drain_policy: DrainPolicy,
     watchdog_ticks: Option<u64>,
 }
 
@@ -591,16 +598,14 @@ impl ServiceShared {
         Some(q.queued.remove(best))
     }
 
-    /// Claims the best queued request: registers its lifecycle flags and
-    /// counts it in flight. Caller holds the queue lock.
+    /// Claims the best queued request: registers its lifecycle flags in
+    /// `inflight`. Caller holds the queue lock.
     fn claim(&self, q: &mut QueueState) -> Option<(Queued, Arc<InFlightState>)> {
         let job = self.pop_best(q)?;
-        q.in_flight += 1;
         let flight = Arc::new(InFlightState {
             ticket: job.ticket,
             cancelled: AtomicBool::new(false),
             last_progress: AtomicU64::new(self.clock.now_ticks()),
-            tripped: AtomicBool::new(false),
         });
         q.inflight.insert(job.ticket.id, Arc::clone(&flight));
         Some((job, flight))
@@ -626,20 +631,6 @@ impl ServiceShared {
         }
         flight.last_progress.store(now, Ordering::Relaxed);
         Ok(())
-    }
-
-    /// Builds a lifecycle-failure outcome and bumps the matching counter.
-    fn lifecycle_outcome(&self, ticket: DeployTicket, error: PipelineError) -> DeployOutcome {
-        match &error {
-            PipelineError::Cancelled => {
-                self.cancelled.fetch_add(1, Ordering::Relaxed);
-            }
-            PipelineError::DeadlineExceeded { .. } => {
-                self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-            }
-            _ => {}
-        }
-        DeployOutcome { ticket, result: Err(error) }
     }
 
     /// Runs (or reuses) the shared stages for one scene key. Returns the
@@ -715,7 +706,6 @@ impl ServiceShared {
                 let outputs = SharedOutputs { segmentation, profiles, shared };
                 *cell.state.lock().expect("stage cell poisoned") =
                     StageState::Ready(Box::new(outputs.clone()));
-                self.shared_stage_runs.fetch_add(1, Ordering::Relaxed);
                 Ok((outputs, false))
             }
             Err(payload) => {
@@ -728,17 +718,14 @@ impl ServiceShared {
 
     /// Processes one claimed request end to end, observing the cooperative
     /// lifecycle gates at stage boundaries.
-    fn process(&self, job: &Queued, flight: &InFlightState) -> DeployOutcome {
-        if let Err(error) = self.lifecycle_check(job, flight) {
-            return self.lifecycle_outcome(job.ticket, error);
-        }
-        let (outputs, coalesced) = match self.acquire_stages(job, flight) {
-            Ok(acquired) => acquired,
-            Err(error) => return self.lifecycle_outcome(job.ticket, error),
-        };
-        if let Err(error) = self.lifecycle_check(job, flight) {
-            return self.lifecycle_outcome(job.ticket, error);
-        }
+    fn process(
+        &self,
+        job: &Queued,
+        flight: &InFlightState,
+    ) -> Result<CompletedDeploy, PipelineError> {
+        self.lifecycle_check(job, flight)?;
+        let (outputs, coalesced) = self.acquire_stages(job, flight)?;
+        self.lifecycle_check(job, flight)?;
         let budget_mb = self
             .pipeline
             .resolve_budget_mb(job.request.budget_override_mb, &job.request.device)
@@ -753,99 +740,73 @@ impl ServiceShared {
             outputs.shared,
         );
         let deployment_fingerprint = nerflex_bake::disk::deployment_fingerprint(&deployment.assets);
-        if coalesced {
-            self.coalesced.fetch_add(1, Ordering::Relaxed);
-        }
-        self.completed.fetch_add(1, Ordering::Relaxed);
-        DeployOutcome {
-            ticket: job.ticket,
-            result: Ok(CompletedDeploy { deployment, coalesced, deployment_fingerprint }),
-        }
+        Ok(CompletedDeploy { deployment, coalesced, deployment_fingerprint })
     }
 
     fn pool(&self) -> &'static WorkerPool {
         self.pipeline.options().pool
     }
 
-    /// Sheds every queued request as an [`PipelineError::Overloaded`]
-    /// outcome. Caller holds the queue lock and must notify `done`.
-    fn shed_queued(&self, q: &mut QueueState) {
-        let depth = q.queued.len();
-        for job in q.queued.drain(..) {
-            self.shed.fetch_add(1, Ordering::Relaxed);
-            q.completed.push_back(DeployOutcome {
-                ticket: job.ticket,
-                result: Err(PipelineError::Overloaded { queue_depth: depth }),
-            });
+    /// Processes one claimed request and settles its ticket: the one path
+    /// for inline consumers and executors alike. A classified panic settles
+    /// as a failed outcome; any other payload is stashed in `panics` for the
+    /// next consumer call to re-raise. If the watchdog has already taken the
+    /// ticket out of `inflight` (and settled it as `Stalled`), the late
+    /// result is dropped, so no ticket settles twice.
+    fn run_claimed(&self, (job, flight): (Queued, Arc<InFlightState>)) {
+        let result = catch_unwind(AssertUnwindSafe(|| self.process(&job, &flight)))
+            .or_else(|payload| classify_panic(payload).map(Err));
+        let mut q = self.queue.lock().expect("service queue poisoned");
+        if q.inflight.remove(&job.ticket.id).is_none() {
+            q.abandoned -= 1;
+        } else {
+            match result {
+                Ok(result) => q.settle(DeployOutcome { ticket: job.ticket, result }),
+                Err(payload) => self.panics.lock().expect("panic list poisoned").push(payload),
+            }
         }
+        drop(q);
+        self.done.notify_all();
     }
 
     /// Watchdog sweep (no-op unless [`ServiceOptions::with_watchdog_ticks`]
     /// is set): any in-flight request whose `last_progress` is at least the
-    /// configured number of ticks stale is given up on — its slot is
-    /// released and a [`PipelineError::Stalled`] outcome settles its ticket,
-    /// so the consumer is never hung on a stalled executor. The stalled
-    /// thread itself is left alone; if it ever finishes, `finish_job`
-    /// discards its outcome.
+    /// configured number of ticks stale is given up on — taken out of
+    /// `inflight` and settled as a [`PipelineError::Stalled`] outcome, so the
+    /// consumer is never hung on a stalled executor. The stalled thread
+    /// itself is left alone; if it ever finishes, `run_claimed` drops its
+    /// result.
     fn watchdog_scan(&self) {
         let Some(limit) = self.watchdog_ticks else { return };
         let now = self.clock.now_ticks();
         let mut q = self.queue.lock().expect("service queue poisoned");
-        let mut tripped_any = false;
-        let stalled: Vec<Arc<InFlightState>> = q
-            .inflight
-            .values()
-            .filter(|flight| {
-                !flight.tripped.load(Ordering::Relaxed)
-                    && now.saturating_sub(flight.last_progress.load(Ordering::Relaxed)) >= limit
-            })
-            .map(Arc::clone)
-            .collect();
-        for flight in stalled {
-            flight.tripped.store(true, Ordering::Relaxed);
+        let mut stalled = Vec::new();
+        q.inflight.retain(|_, flight| {
             let idle_ticks = now.saturating_sub(flight.last_progress.load(Ordering::Relaxed));
-            q.in_flight -= 1;
-            self.watchdog_trips.fetch_add(1, Ordering::Relaxed);
-            q.completed.push_back(DeployOutcome {
+            if idle_ticks < limit {
+                return true;
+            }
+            stalled.push(DeployOutcome {
                 ticket: flight.ticket,
                 result: Err(PipelineError::Stalled { idle_ticks }),
             });
-            tripped_any = true;
+            false
+        });
+        if stalled.is_empty() {
+            return;
+        }
+        q.abandoned += stalled.len();
+        for outcome in stalled {
+            q.settle(outcome);
         }
         drop(q);
-        if tripped_any {
-            self.done.notify_all();
-        }
+        self.done.notify_all();
     }
 
-    /// Settles a finished job: unregisters its lifecycle flags and, unless
-    /// the watchdog already gave up on it, releases its in-flight slot and
-    /// publishes the outcome. Returns the outcome if it should be surfaced.
-    fn finish_job(
-        &self,
-        job: &Queued,
-        flight: &InFlightState,
-        outcome: Result<DeployOutcome, Box<dyn Any + Send>>,
-    ) -> Option<Result<DeployOutcome, Box<dyn Any + Send>>> {
-        let mut q = self.queue.lock().expect("service queue poisoned");
-        q.inflight.remove(&job.ticket.id);
-        if flight.tripped.load(Ordering::Relaxed) {
-            // The watchdog already settled this ticket with a Stalled
-            // outcome and released the slot; this late result is dropped so
-            // the consumer never sees two outcomes for one ticket.
-            drop(q);
-            self.done.notify_all();
-            return None;
-        }
-        q.in_flight -= 1;
-        drop(q);
-        Some(outcome)
-    }
-
-    /// Executor thread body: claim → process → publish, until shutdown.
+    /// Executor thread body: claim → run, until shutdown.
     fn executor_loop(&self) {
         loop {
-            let (job, flight) = {
+            let claimed = {
                 let mut q = self.queue.lock().expect("service queue poisoned");
                 loop {
                     if q.shutdown {
@@ -857,24 +818,7 @@ impl ServiceShared {
                     q = self.work.wait(q).expect("service queue poisoned");
                 }
             };
-            let outcome = catch_unwind(AssertUnwindSafe(|| self.process(&job, &flight)));
-            let Some(outcome) = self.finish_job(&job, &flight, outcome) else { continue };
-            let mut q = self.queue.lock().expect("service queue poisoned");
-            match outcome {
-                Ok(outcome) => q.completed.push_back(outcome),
-                Err(payload) => match classify_panic(payload) {
-                    Ok(error) => {
-                        self.failed.fetch_add(1, Ordering::Relaxed);
-                        q.completed
-                            .push_back(DeployOutcome { ticket: job.ticket, result: Err(error) });
-                    }
-                    Err(payload) => {
-                        self.panics.lock().expect("panic list poisoned").push(payload);
-                    }
-                },
-            }
-            drop(q);
-            self.done.notify_all();
+            self.run_claimed(claimed);
         }
     }
 }
@@ -987,8 +931,9 @@ impl DeployService {
             queue: Mutex::new(QueueState {
                 queued: Vec::new(),
                 completed: VecDeque::new(),
-                in_flight: 0,
                 inflight: HashMap::new(),
+                abandoned: 0,
+                counts: ServiceStats::default(),
                 draining: false,
                 shutdown: false,
             }),
@@ -996,20 +941,8 @@ impl DeployService {
             done: Condvar::new(),
             stages: Mutex::new(HashMap::new()),
             panics: Mutex::new(Vec::new()),
-            next_ticket: AtomicU64::new(0),
-            admitted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-            shared_stage_runs: AtomicUsize::new(0),
-            cancelled: AtomicU64::new(0),
-            deadline_exceeded: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            watchdog_trips: AtomicU64::new(0),
             clock: options.clock.unwrap_or_else(|| Arc::new(WallClock::new())),
             queue_limit: options.queue_limit,
-            drain_policy: options.drain_policy,
             watchdog_ticks: options.watchdog_ticks,
         });
         let handles = (0..options.executors)
@@ -1040,81 +973,57 @@ impl DeployService {
     /// is the lowest-priority-newest (no ticket is issued — the request was
     /// never admitted).
     pub fn submit(&self, request: DeployRequest) -> Result<DeployTicket, PipelineError> {
-        if let Err(err) = NerflexPipeline::validate_inputs(&request.scene, &request.dataset)
+        let scene_key = NerflexPipeline::validate_inputs(&request.scene, &request.dataset)
             .and_then(|()| {
-                self.shared
-                    .pipeline
-                    .resolve_budget_mb(request.budget_override_mb, &request.device)
-                    .map(|_| ())
+                self.shared.pipeline.resolve_budget_mb(request.budget_override_mb, &request.device)
             })
-        {
-            self.shared.rejected.fetch_add(1, Ordering::Relaxed);
-            return Err(err);
-        }
-        let scene_key = scene_content_key(&request.scene, &request.dataset);
+            .map(|_| scene_content_key(&request.scene, &request.dataset));
         let mut q = self.shared.queue.lock().expect("service queue poisoned");
-        if q.draining || q.shutdown {
-            self.shared.rejected.fetch_add(1, Ordering::Relaxed);
-            return Err(PipelineError::Draining);
-        }
+        let scene_key = match scene_key {
+            Ok(scene_key) if !q.draining => scene_key,
+            rejected => {
+                q.counts.rejected += 1;
+                return Err(rejected.err().unwrap_or(PipelineError::Draining));
+            }
+        };
         // Reject-on-admission for an already-expired deadline: settle the
         // ticket right away instead of queueing doomed work. An expired
         // request never occupies a queue slot, so this precedes the
         // bounded-admission check.
         let now = self.shared.clock.now_ticks();
         if let Some(deadline) = request.deadline.filter(|&deadline| now >= deadline) {
-            let ticket = DeployTicket {
-                id: self.shared.next_ticket.fetch_add(1, Ordering::Relaxed),
-                scene_key,
-            };
-            self.shared.admitted.fetch_add(1, Ordering::Relaxed);
-            let outcome = self
-                .shared
-                .lifecycle_outcome(ticket, PipelineError::DeadlineExceeded { deadline, now });
-            q.completed.push_back(outcome);
+            let ticket = q.admit(scene_key);
+            q.settle(DeployOutcome {
+                ticket,
+                result: Err(PipelineError::DeadlineExceeded { deadline, now }),
+            });
             drop(q);
             self.shared.done.notify_all();
             return Ok(ticket);
         }
         // Bounded admission: at the limit, shed the lowest-priority request
         // — newest first among equals. The incoming request (newest of all)
-        // loses that comparison unless it outranks a queued victim.
+        // loses that comparison unless it outranks a queued victim; with a
+        // zero-length limit and an empty queue it is the only candidate.
         if let Some(limit) = self.shared.queue_limit {
             if q.queued.len() >= limit {
-                let depth = q.queued.len();
+                let shed = PipelineError::Overloaded { queue_depth: q.queued.len() };
                 let victim = q
                     .queued
                     .iter()
                     .enumerate()
                     .min_by_key(|(_, job)| (job.request.priority, std::cmp::Reverse(job.ticket.id)))
-                    .map(|(idx, job)| (idx, job.request.priority));
-                match victim {
-                    // `<=`: on equal priority the incoming request is the
-                    // newer one, so it is the victim.
-                    Some((_, victim_priority)) if request.priority <= victim_priority => {
-                        self.shared.shed.fetch_add(1, Ordering::Relaxed);
-                        return Err(PipelineError::Overloaded { queue_depth: depth });
-                    }
-                    Some((idx, _)) => {
-                        let shed_job = q.queued.remove(idx);
-                        self.shared.shed.fetch_add(1, Ordering::Relaxed);
-                        q.completed.push_back(DeployOutcome {
-                            ticket: shed_job.ticket,
-                            result: Err(PipelineError::Overloaded { queue_depth: depth }),
-                        });
-                    }
-                    // A zero-length limit with an empty queue: the incoming
-                    // request is the only candidate, so it is the victim.
-                    None => {
-                        self.shared.shed.fetch_add(1, Ordering::Relaxed);
-                        return Err(PipelineError::Overloaded { queue_depth: depth });
-                    }
-                }
+                    .filter(|(_, job)| request.priority > job.request.priority)
+                    .map(|(idx, _)| idx);
+                let Some(idx) = victim else {
+                    q.counts.count(&Err(shed.clone()));
+                    return Err(shed);
+                };
+                let victim = q.queued.remove(idx);
+                q.settle(DeployOutcome { ticket: victim.ticket, result: Err(shed) });
             }
         }
-        let ticket =
-            DeployTicket { id: self.shared.next_ticket.fetch_add(1, Ordering::Relaxed), scene_key };
-        self.shared.admitted.fetch_add(1, Ordering::Relaxed);
+        let ticket = q.admit(scene_key);
         q.queued.push(Queued { ticket, request });
         drop(q);
         self.shared.work.notify_all();
@@ -1134,15 +1043,14 @@ impl DeployService {
     ///   way the ticket settles exactly once.
     ///
     /// Returns `false` when the ticket is unknown or already settled
-    /// (completing, completed, or consumed). Cancelling never disturbs
-    /// *other* requests: a cancelled waiter leaves a coalesced shared-stage
-    /// build untouched for its survivors.
+    /// (completed, failed, shed, stalled, or consumed). Cancelling never
+    /// disturbs *other* requests: a cancelled waiter leaves a coalesced
+    /// shared-stage build untouched for its survivors.
     pub fn cancel(&self, ticket: DeployTicket) -> bool {
         let mut q = self.shared.queue.lock().expect("service queue poisoned");
         if let Some(idx) = q.queued.iter().position(|job| job.ticket.id == ticket.id) {
             let job = q.queued.remove(idx);
-            let outcome = self.shared.lifecycle_outcome(job.ticket, PipelineError::Cancelled);
-            q.completed.push_back(outcome);
+            q.settle(DeployOutcome { ticket: job.ticket, result: Err(PipelineError::Cancelled) });
             drop(q);
             self.shared.done.notify_all();
             return true;
@@ -1174,34 +1082,13 @@ impl DeployService {
                 return Some(outcome);
             }
             if self.executors == 0 {
-                if let Some((job, flight)) = self.shared.claim(&mut q) {
+                if let Some(claimed) = self.shared.claim(&mut q) {
                     drop(q);
-                    let outcome =
-                        catch_unwind(AssertUnwindSafe(|| self.shared.process(&job, &flight)));
-                    let Some(outcome) = self.shared.finish_job(&job, &flight, outcome) else {
-                        // The watchdog settled this ticket while we worked;
-                        // its Stalled outcome is already queued.
-                        continue;
-                    };
-                    self.shared.done.notify_all();
-                    match outcome {
-                        Ok(outcome) => return Some(outcome),
-                        Err(payload) => match classify_panic(payload) {
-                            Ok(error) => {
-                                self.shared.failed.fetch_add(1, Ordering::Relaxed);
-                                return Some(DeployOutcome {
-                                    ticket: job.ticket,
-                                    result: Err(error),
-                                });
-                            }
-                            Err(payload) => resume_unwind(payload),
-                        },
-                    }
+                    self.shared.run_claimed(claimed);
+                    continue;
                 }
-                if q.in_flight == 0 {
-                    return None;
-                }
-            } else if q.queued.is_empty() && q.in_flight == 0 {
+            }
+            if q.queued.is_empty() && q.inflight.is_empty() {
                 return None;
             }
             // Work is in flight on another thread: wait for it to land.
@@ -1212,7 +1099,7 @@ impl DeployService {
                 let _progressed = self.shared.pool().wait_until_for(
                     || {
                         let q = self.shared.queue.lock().expect("service queue poisoned");
-                        !q.completed.is_empty() || (q.queued.is_empty() && q.in_flight == 0)
+                        !q.completed.is_empty() || (q.queued.is_empty() && q.inflight.is_empty())
                     },
                     Duration::from_millis(5),
                 );
@@ -1223,52 +1110,39 @@ impl DeployService {
     }
 
     /// Gracefully drains the service: closes admission (subsequent submits
-    /// fail with [`PipelineError::Draining`]), settles every admitted
-    /// ticket — finishing queued work or shedding it, per
-    /// [`ServiceOptions::with_drain_policy`] — then shuts down: joins the
-    /// executors and flushes the persistent stores.
+    /// fail with [`PipelineError::Draining`]), finishes every admitted
+    /// ticket, then shuts down: joins the executors and flushes the
+    /// persistent stores.
     ///
     /// Returns every remaining outcome. Completion order is
     /// scheduling-dependent; sort by [`DeployTicket::id`] for admission
     /// order.
     pub fn drain(&self) -> Vec<DeployOutcome> {
-        {
-            let mut q = self.shared.queue.lock().expect("service queue poisoned");
-            q.draining = true;
-            if self.shared.drain_policy == DrainPolicy::Shed {
-                self.shared.shed_queued(&mut q);
-            }
-        }
-        self.shared.done.notify_all();
-        let mut outcomes = Vec::new();
-        while let Some(outcome) = self.next_outcome() {
-            outcomes.push(outcome);
-        }
+        self.shared.queue.lock().expect("service queue poisoned").draining = true;
+        let outcomes = std::iter::from_fn(|| self.next_outcome()).collect();
         self.shutdown();
         outcomes
     }
 
-    /// Current service counters.
+    /// Current service counters. The admission and outcome counters and
+    /// the live queue and flight sizes are read in one lock hold, so the
+    /// snapshot balances (see [`ServiceStats`]).
     pub fn stats(&self) -> ServiceStats {
-        let (queue_depth, in_flight) = {
+        let stats = {
             let q = self.shared.queue.lock().expect("service queue poisoned");
-            (q.queued.len(), q.in_flight)
+            ServiceStats { in_flight: q.inflight.len(), queue_depth: q.queued.len(), ..q.counts }
+        };
+        // Every shared-stage run leaves its cell `Ready` for good, and a
+        // rolled-back one leaves it `Idle`, so the ready cells count the runs.
+        let shared_stage_runs = {
+            let stages = self.shared.stages.lock().expect("stage map poisoned");
+            stages.values().filter(|cell| cell.is_ready()).count()
         };
         ServiceStats {
-            admitted: self.shared.admitted.load(Ordering::Relaxed),
-            rejected: self.shared.rejected.load(Ordering::Relaxed),
-            completed: self.shared.completed.load(Ordering::Relaxed),
-            failed: self.shared.failed.load(Ordering::Relaxed),
-            coalesced: self.shared.coalesced.load(Ordering::Relaxed),
-            shared_stage_runs: self.shared.shared_stage_runs.load(Ordering::Relaxed),
-            in_flight,
-            queue_depth,
+            shared_stage_runs,
             bake_coalesced: self.shared.cache.stats().coalesced,
             ground_truth_coalesced: self.shared.ground_truth.stats().coalesced,
-            cancelled: self.shared.cancelled.load(Ordering::Relaxed),
-            deadline_exceeded: self.shared.deadline_exceeded.load(Ordering::Relaxed),
-            shed: self.shared.shed.load(Ordering::Relaxed),
-            watchdog_trips: self.shared.watchdog_trips.load(Ordering::Relaxed),
+            ..stats
         }
     }
 
@@ -1296,10 +1170,16 @@ impl DeployService {
     pub fn shutdown(&self) {
         let abandoned = {
             let mut q = self.shared.queue.lock().expect("service queue poisoned");
-            self.shared.shed_queued(&mut q);
+            let queue_depth = q.queued.len();
+            for job in std::mem::take(&mut q.queued) {
+                q.settle(DeployOutcome {
+                    ticket: job.ticket,
+                    result: Err(PipelineError::Overloaded { queue_depth }),
+                });
+            }
             q.draining = true;
             q.shutdown = true;
-            q.inflight.values().any(|flight| flight.tripped.load(Ordering::Relaxed))
+            q.abandoned > 0
         };
         self.shared.work.notify_all();
         self.shared.done.notify_all();

@@ -642,10 +642,70 @@ fn the_watchdog_converts_a_stalled_executor_into_a_failed_outcome() {
         "the stall is classified: {:?}",
         outcome.result
     );
+    assert!(!service.cancel(ticket), "a ticket the watchdog settled cannot be cancelled");
     assert!(service.next_outcome().is_none(), "the ticket settles exactly once");
     let stats = service.stats();
     assert_eq!(stats.watchdog_trips, 1, "{stats}");
     assert_eq!(stats.in_flight, 0, "the stalled slot was released: {stats}");
     // Shutdown must not join (and hang on) the abandoned executor.
     service.shutdown();
+}
+
+#[test]
+fn a_stalled_request_that_finishes_late_is_counted_once() {
+    let scenes = two_scenes();
+    let clock = Arc::new(TestClock::at(0));
+    // The first selection invocation sleeps 500 ms, far past the 10-tick
+    // watchdog once virtual time moves, and then finishes: the watchdog has
+    // settled it as Stalled by then, so its late result must be dropped —
+    // not published, and not counted as completed either.
+    let injector = Arc::new(StageFaultInjector::new(StageFaultPlan::none().fail_nth(
+        StageOp::Selection,
+        0,
+        StageFaultMode::Delay(Duration::from_millis(500)),
+    )));
+    let service = DeployService::new(
+        ServiceOptions::inline(
+            PipelineOptions::quick()
+                .with_worker_threads(2)
+                .with_stage_fault_injector(Arc::clone(&injector)),
+        )
+        .with_executors(1)
+        .with_watchdog_ticks(10)
+        .with_clock(Arc::clone(&clock) as Arc<dyn Clock>),
+    );
+    let request = || {
+        DeployRequest::new(
+            Arc::clone(&scenes[0].0),
+            Arc::clone(&scenes[0].1),
+            DeviceSpec::pixel_4(),
+        )
+    };
+    let late = service.submit(request()).expect("valid");
+    // As in the stall test: advance only once the executor sleeps in
+    // selection, after its last progress mark.
+    let deadline = std::time::Instant::now() + Duration::from_secs(300);
+    while injector.stats().selection.delays < 1 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "executor never reached the delayed selection stage"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    clock.advance(100);
+    let outcome = service.next_outcome().expect("the watchdog settles the delayed ticket");
+    assert_eq!(outcome.ticket, late);
+    assert!(matches!(outcome.error(), Some(PipelineError::Stalled { .. })), "{:?}", outcome.result);
+    // The single executor runs the second request only after the first
+    // returns, so by the time this outcome lands the late result is in.
+    let second = service.submit(request()).expect("valid");
+    let outcome = service.next_outcome().expect("the second request completes");
+    assert_eq!(outcome.ticket, second);
+    assert!(outcome.is_success(), "{:?}", outcome.result);
+    assert!(service.next_outcome().is_none(), "the late result is never published");
+    let stats = service.stats();
+    assert_eq!(stats.admitted, 2, "{stats}");
+    assert_eq!(stats.completed, 1, "the late result is not counted: {stats}");
+    assert_eq!(stats.watchdog_trips, 1, "{stats}");
+    assert_eq!(stats.in_flight, 0, "{stats}");
 }

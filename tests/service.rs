@@ -5,14 +5,17 @@
 //! counts and worker counts.
 
 use nerflex::bake::disk::deployment_fingerprint;
+use nerflex::core::clock::{Clock, TestClock};
 use nerflex::core::fault::{StageFaultMode, StageFaultPlan, StageOp};
 use nerflex::core::pipeline::{NerflexPipeline, PipelineError, PipelineOptions};
-use nerflex::core::service::{DeployRequest, DeployService, ServiceOptions};
+use nerflex::core::service::{
+    DeployOutcome, DeployRequest, DeployService, DeployTicket, ServiceOptions, ServiceStats,
+};
 use nerflex::device::DeviceSpec;
 use nerflex::scene::dataset::Dataset;
 use nerflex::scene::object::CanonicalObject;
 use nerflex::scene::scene::Scene;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -386,4 +389,293 @@ fn per_request_budgets_flow_through_the_service() {
     assert!(generous.selection.total_quality >= tight.selection.total_quality - 1e-9);
     // Same scene → one shared-stage run even with different budgets.
     assert_eq!(service.stats().shared_stage_runs, 1);
+}
+
+// ---------------------------------------------------------------------------
+// Model test: seeded operation sequences against a reference model
+// ---------------------------------------------------------------------------
+
+/// SplitMix64, the seeded source of the operation sequences.
+struct SplitMix64(u64);
+
+impl SplitMix64 {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) % n
+    }
+}
+
+const MODEL_QUEUE_LIMIT: usize = 3;
+const MODEL_SCENES: usize = 3;
+
+/// An admitted, not yet settled request as the model sees it.
+struct ModelQueued {
+    id: u64,
+    scene: usize,
+    priority: i32,
+    deadline: Option<u64>,
+    budget_mb: Option<f64>,
+}
+
+/// The reference model of an inline service: what is queued, which
+/// outcomes have settled but not been consumed (in settle order), which
+/// scenes' shared stages are resident, and the counters every operation
+/// must leave [`DeployService::stats`] at. Inline mode runs a request to
+/// its outcome inside one `next_outcome`, so between operations nothing is
+/// in flight.
+#[derive(Default)]
+struct ServiceModel {
+    queued: Vec<ModelQueued>,
+    pending: VecDeque<(u64, PipelineError)>,
+    warm: [bool; MODEL_SCENES],
+    counts: ServiceStats,
+    refused_sheds: u64,
+    /// Every ticket issued, and how many outcomes each has produced.
+    issued: Vec<DeployTicket>,
+    outcomes: BTreeMap<u64, usize>,
+    /// (scene, budget bits) → fingerprint of the first completion.
+    fingerprints: BTreeMap<(usize, Option<u64>), u64>,
+}
+
+impl ServiceModel {
+    /// Settles `id` with `error`: counted now, consumed later in order.
+    fn settle(&mut self, id: u64, error: PipelineError) {
+        match error {
+            PipelineError::Cancelled => self.counts.cancelled += 1,
+            PipelineError::DeadlineExceeded { .. } => self.counts.deadline_exceeded += 1,
+            PipelineError::Overloaded { .. } => self.counts.shed += 1,
+            _ => unreachable!("the model settles only lifecycle outcomes ahead of time"),
+        }
+        self.pending.push_back((id, error));
+    }
+
+    fn submit(&mut self, service: &DeployService, request: DeployRequest, scene: usize, now: u64) {
+        let budget_mb = request.budget_override_mb();
+        let priority = request.priority();
+        let deadline = request.deadline();
+        let result = service.submit(request);
+        if let Some(requested_mb) = budget_mb.filter(|mb| !(mb.is_finite() && *mb > 0.0)) {
+            assert!(
+                matches!(result, Err(PipelineError::InvalidBudget { requested_mb: got })
+                    if got.to_bits() == requested_mb.to_bits()),
+                "{result:?}"
+            );
+            self.counts.rejected += 1;
+            return;
+        }
+        let expired = deadline.filter(|&deadline| now >= deadline);
+        let mut evicted = None;
+        if expired.is_none() && self.queued.len() >= MODEL_QUEUE_LIMIT {
+            let queue_depth = self.queued.len();
+            let (idx, victim) = self
+                .queued
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, job)| (job.priority, std::cmp::Reverse(job.id)))
+                .expect("a full queue has a victim");
+            if priority <= victim.priority {
+                assert_eq!(result, Err(PipelineError::Overloaded { queue_depth }));
+                self.counts.shed += 1;
+                self.refused_sheds += 1;
+                return;
+            }
+            evicted = Some((idx, queue_depth));
+        }
+        let ticket = result.expect("admitted");
+        assert_eq!(ticket.id(), self.counts.admitted, "tickets are issued in admission order");
+        self.counts.admitted += 1;
+        self.issued.push(ticket);
+        if let Some((idx, queue_depth)) = evicted {
+            let victim = self.queued.remove(idx);
+            self.settle(victim.id, PipelineError::Overloaded { queue_depth });
+        }
+        match expired {
+            Some(deadline) => {
+                self.settle(ticket.id(), PipelineError::DeadlineExceeded { deadline, now })
+            }
+            None => self.queued.push(ModelQueued {
+                id: ticket.id(),
+                scene,
+                priority,
+                deadline,
+                budget_mb,
+            }),
+        }
+    }
+
+    fn cancel(&mut self, service: &DeployService, ticket: DeployTicket) {
+        let queued = self.queued.iter().position(|job| job.id == ticket.id());
+        assert_eq!(service.cancel(ticket), queued.is_some(), "cancel holds exactly on queued work");
+        if let Some(idx) = queued {
+            let job = self.queued.remove(idx);
+            self.settle(job.id, PipelineError::Cancelled);
+        }
+    }
+
+    /// Checks one consumed outcome against the model: settled outcomes come
+    /// out first, in settle order; otherwise the best queued request ran.
+    fn observe(&mut self, outcome: DeployOutcome, now: u64) {
+        let id = outcome.ticket.id();
+        let seen = self.outcomes.entry(id).or_insert(0);
+        *seen += 1;
+        assert_eq!(*seen, 1, "ticket {id} has two outcomes");
+        if let Some((expected_id, expected)) = self.pending.pop_front() {
+            assert_eq!(id, expected_id, "settled outcomes are consumed in settle order");
+            assert_eq!(outcome.error(), Some(&expected));
+            return;
+        }
+        let warm = self.warm;
+        let idx = (0..self.queued.len())
+            .max_by_key(|&idx| {
+                let job = &self.queued[idx];
+                (job.priority, warm[job.scene], std::cmp::Reverse(job.id))
+            })
+            .expect("an outcome needs queued work");
+        let job = self.queued.remove(idx);
+        assert_eq!(id, job.id, "priority first, then warm scenes, then admission order");
+        if let Some(deadline) = job.deadline.filter(|&deadline| now >= deadline) {
+            assert_eq!(outcome.error(), Some(&PipelineError::DeadlineExceeded { deadline, now }));
+            self.counts.deadline_exceeded += 1;
+            return;
+        }
+        match outcome.result {
+            Ok(done) => {
+                assert_eq!(
+                    done.coalesced, warm[job.scene],
+                    "only a warm scene's request coalesces"
+                );
+                self.warm[job.scene] = true;
+                self.counts.completed += 1;
+                self.counts.coalesced += u64::from(done.coalesced);
+                let key = (job.scene, job.budget_mb.map(f64::to_bits));
+                let first = *self.fingerprints.entry(key).or_insert(done.deployment_fingerprint);
+                assert_eq!(done.deployment_fingerprint, first, "equal requests deploy equal bytes");
+            }
+            // A profiling fault rolls the stage cell back; a fault in a
+            // later stage leaves the shared stages resident.
+            Err(PipelineError::Stage { stage, .. }) => {
+                match stage {
+                    "profiling" => assert!(!warm[job.scene], "a warm scene does not profile"),
+                    "selection" | "baking" => self.warm[job.scene] = true,
+                    other => panic!("no {other} faults are injected"),
+                }
+                self.counts.failed += 1;
+            }
+            Err(other) => panic!("unexpected outcome for ticket {id}: {other}"),
+        }
+    }
+
+    /// The invariants every operation leaves standing.
+    fn check(&self, service: &DeployService) {
+        let stats = service.stats();
+        assert_eq!(
+            stats.admitted + self.refused_sheds,
+            stats.completed
+                + stats.failed
+                + stats.cancelled
+                + stats.deadline_exceeded
+                + stats.shed
+                + stats.watchdog_trips
+                + stats.in_flight as u64
+                + stats.queue_depth as u64,
+            "the counters balance: {stats}"
+        );
+        let expected = ServiceStats {
+            queue_depth: self.queued.len(),
+            shared_stage_runs: self.warm.iter().filter(|&&warm| warm).count(),
+            bake_coalesced: stats.bake_coalesced,
+            ground_truth_coalesced: stats.ground_truth_coalesced,
+            ..self.counts
+        };
+        assert_eq!(stats, expected);
+        for ticket in &self.issued {
+            if self.queued.iter().all(|job| job.id != ticket.id()) {
+                assert!(!service.cancel(*ticket), "settled ticket {} cancels", ticket.id());
+            }
+        }
+    }
+}
+
+/// Seeded operation sequences against [`ServiceModel`], in the
+/// state-machine style of QuickCheck (Claessen & Hughes, ICFP 2000): submits
+/// (priority; no, expired or future deadline; valid or invalid budget),
+/// cancels of any issued ticket, clock advances and single `next_outcome`
+/// calls on an inline service with a queue limit and seeded stage-fault
+/// noise, then a final `drain`. After every operation the counters balance
+/// and match the model, no ticket has two outcomes and no settled ticket
+/// cancels; after the drain every ticket has exactly one outcome.
+#[test]
+fn seeded_operation_sequences_settle_every_ticket_exactly_once() {
+    // Three scenes and two priorities: enough equal-priority requests for
+    // a cold and a warm scene meet in the queue that warm-first ordering
+    // decides between them.
+    let scenes: [_; MODEL_SCENES] =
+        [(CanonicalObject::Hotdog, 21), (CanonicalObject::Lego, 4), (CanonicalObject::Chair, 3)]
+            .map(|(object, seed)| {
+                let scene = Scene::with_objects(&[object], seed);
+                let dataset = Dataset::generate(&scene, 2, 1, 32, 32);
+                (Arc::new(scene), Arc::new(dataset))
+            });
+    for seed in 0..10u64 {
+        let mut rng = SplitMix64(seed);
+        let clock = Arc::new(TestClock::at(100));
+        let plan = StageFaultPlan::none()
+            .with_seed(seed)
+            .with_noise(StageOp::Profiling, 15, StageFaultMode::Fail)
+            .with_noise(StageOp::Selection, 10, StageFaultMode::Fail)
+            .with_noise(StageOp::Baking, 15, StageFaultMode::Fail);
+        let service = DeployService::new(
+            ServiceOptions::inline(PipelineOptions::quick().with_stage_faults(plan))
+                .with_queue_limit(MODEL_QUEUE_LIMIT)
+                .with_clock(Arc::clone(&clock) as Arc<dyn Clock>),
+        );
+        let mut model = ServiceModel::default();
+        for _ in 0..30 {
+            let now = clock.now_ticks();
+            match rng.below(20) {
+                0..=8 => {
+                    let scene = rng.below(MODEL_SCENES as u64) as usize;
+                    let mut request = DeployRequest::new(
+                        Arc::clone(&scenes[scene].0),
+                        Arc::clone(&scenes[scene].1),
+                        DeviceSpec::pixel_4(),
+                    )
+                    .with_priority(rng.below(2) as i32);
+                    request = match rng.below(4) {
+                        0 | 1 => request,
+                        2 => request.with_deadline(now - rng.below(5)),
+                        _ => request.with_deadline(now + 1 + rng.below(60)),
+                    };
+                    request = match rng.below(6) {
+                        0..=2 => request,
+                        3 | 4 => request.with_budget_mb(6.0),
+                        _ => request.with_budget_mb([-1.0, 0.0, f64::NAN][rng.below(3) as usize]),
+                    };
+                    model.submit(&service, request, scene, now);
+                }
+                9..=11 if !model.issued.is_empty() => {
+                    let ticket = model.issued[rng.below(model.issued.len() as u64) as usize];
+                    model.cancel(&service, ticket);
+                }
+                12..=14 => clock.advance(1 + rng.below(20)),
+                _ => match service.next_outcome() {
+                    Some(outcome) => model.observe(outcome, now),
+                    None => assert!(model.queued.is_empty() && model.pending.is_empty()),
+                },
+            }
+            model.check(&service);
+        }
+        let now = clock.now_ticks();
+        for outcome in service.drain() {
+            model.observe(outcome, now);
+        }
+        assert!(model.queued.is_empty() && model.pending.is_empty(), "seed {seed}");
+        model.check(&service);
+        for ticket in &model.issued {
+            assert_eq!(model.outcomes.get(&ticket.id()), Some(&1), "seed {seed}: {ticket:?}");
+        }
+    }
 }
