@@ -153,13 +153,6 @@ impl QuadMesh {
         self.positions.len()
     }
 
-    /// The centre of quad `q`.
-    pub fn quad_center(&self, q: usize) -> Vec3 {
-        let quad = &self.quads[q];
-        quad.vertices.iter().map(|&i| self.positions[i as usize]).fold(Vec3::ZERO, |acc, p| acc + p)
-            * 0.25
-    }
-
     /// Bilinear interpolation of position across quad `q` at patch
     /// coordinates `(u, v)` in `[0, 1]²`.
     pub fn quad_point(&self, q: usize, u: f32, v: f32) -> Vec3 {

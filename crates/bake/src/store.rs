@@ -39,7 +39,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Locks a mutex, recovering from poisoning.
 ///
@@ -590,9 +590,6 @@ pub struct KeyedStore<C: EntryCodec> {
     disk_hits: AtomicUsize,
     misses: AtomicUsize,
     coalesced: AtomicUsize,
-    /// Total wall-clock time spent in miss builds (the profiling layer
-    /// reports it; exactly zero on fully warm runs).
-    build_time: Mutex<Duration>,
     backend: Option<Arc<dyn StoreBackend>>,
     options: StoreOptions,
     indexed: usize,
@@ -606,7 +603,6 @@ impl<C: EntryCodec> Default for KeyedStore<C> {
             disk_hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
             coalesced: AtomicUsize::new(0),
-            build_time: Mutex::new(Duration::ZERO),
             backend: None,
             options: StoreOptions::default(),
             indexed: 0,
@@ -695,12 +691,6 @@ impl<C: EntryCodec> KeyedStore<C> {
         }
     }
 
-    /// Total wall-clock time spent building missed values. Exactly zero
-    /// when every lookup was a hit.
-    pub fn build_time(&self) -> Duration {
-        *lock_valid(&self.build_time)
-    }
-
     /// `true` when the key is already built or indexed on the backend. For
     /// a not-yet-decoded entry this is optimistic: a damaged entry is only
     /// discovered (and transparently rebuilt) at lookup.
@@ -779,9 +769,7 @@ impl<C: EntryCodec> KeyedStore<C> {
         }
 
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let started = Instant::now();
         let value = Arc::new(build());
-        *lock_valid(&self.build_time) += started.elapsed();
         lock_valid(&self.entries)
             .insert(key, Slot::Memory { value: Arc::clone(&value), from_disk: false, dirty: true });
         guard.finish();
@@ -990,7 +978,6 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b), "hits share one allocation");
         let stats = store.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries, stats.indexed), (1, 2, 2, 0));
-        assert!(store.build_time() >= Duration::ZERO);
         assert_eq!(store.flush().expect("noop"), 0);
         assert!(store.contains(&1) && !store.contains(&3));
     }
@@ -1086,7 +1073,6 @@ mod tests {
         assert_eq!(*first, *second);
         let stats = reopened.stats();
         assert_eq!((stats.hits, stats.disk_hits, stats.misses), (0, 1, 0));
-        assert_eq!(reopened.build_time(), Duration::ZERO);
     }
 
     #[test]

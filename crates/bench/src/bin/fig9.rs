@@ -115,25 +115,12 @@ fn main() {
         format!("{} × {}", t.profiling_workers, t.profiling_sample_workers),
     ]);
     engine.push_row(vec![
-        "profiler serial-equivalent time".to_string(),
-        format_duration(t.profiling_serial),
-    ]);
-    engine.push_row(vec![
         "ground-truth ray marching".to_string(),
-        format!(
-            "{} ({} rendered, {} served from cache)",
-            format_duration(t.ground_truth),
-            t.ground_truth_builds,
-            t.ground_truth_hits
-        ),
+        format!("{} rendered, {} served from cache", t.ground_truth_builds, t.ground_truth_hits),
     ]);
     engine.push_row(vec![
         "fused quality metrics".to_string(),
-        format!("{} ({} evaluations)", format_duration(t.metrics), t.metrics_evaluations),
-    ]);
-    engine.push_row(vec![
-        "profiler parallel speedup".to_string(),
-        format!("{}x", fmt_f64(t.profiling_speedup(), 2)),
+        format!("{} evaluations", t.metrics_evaluations),
     ]);
     engine.push_row(vec![
         "worker pool (profiling stage)".to_string(),
@@ -292,11 +279,8 @@ fn main() {
             .float_field("selection_seconds", t.selection.as_secs_f64())
             .float_field("overhead_seconds", overhead)
             .float_field("baking_seconds", t.baking.as_secs_f64())
-            .float_field("profiling_speedup", t.profiling_speedup())
-            .float_field("ground_truth_ms", t.ground_truth_ms())
             .int_field("ground_truth_builds", t.ground_truth_builds as u64)
             .int_field("ground_truth_hits", t.ground_truth_hits as u64)
-            .float_field("metrics_ms", t.metrics_ms())
             .int_field("metrics_evaluations", t.metrics_evaluations as u64)
             .int_field("profiling_workers", t.profiling_workers as u64)
             .int_field("profiling_sample_workers", t.profiling_sample_workers as u64)

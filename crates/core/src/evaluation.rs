@@ -13,7 +13,6 @@ use nerflex_image::{lpips::lpips_proxy, metrics, Mask};
 use nerflex_render::{render_assets, RenderOptions};
 use nerflex_scene::camera_path::CameraPose;
 use nerflex_scene::dataset::Dataset;
-use nerflex_scene::raymarch::render_view;
 use nerflex_scene::scene::Scene;
 
 /// Full evaluation of one deployed representation on one device.
@@ -193,16 +192,6 @@ pub fn per_object_quality(
             (obj.id, obj.model.name.clone(), ssim)
         })
         .collect()
-}
-
-/// Ground-truth render of a dataset pose (convenience for examples that want
-/// to dump comparison images).
-pub fn ground_truth_image(
-    scene: &Scene,
-    pose: &CameraPose,
-    resolution: usize,
-) -> nerflex_image::Image {
-    render_view(scene, pose, resolution, resolution).0
 }
 
 #[cfg(test)]

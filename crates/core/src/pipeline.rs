@@ -31,9 +31,7 @@ use nerflex_bake::{
 };
 use nerflex_device::{DeviceSpec, Workload};
 use nerflex_math::WorkerPool;
-use nerflex_profile::{
-    build_profile_in, GroundTruthCache, MetricsAccounting, ObjectProfile, ProfilerOptions,
-};
+use nerflex_profile::{build_profile_in, GroundTruthCache, ObjectProfile, ProfilerOptions};
 use nerflex_scene::dataset::Dataset;
 use nerflex_scene::scene::Scene;
 use nerflex_seg::{segment, SegmentationPolicy, SegmentationResult};
@@ -188,16 +186,6 @@ pub struct PipelineOptions {
     /// store root at up to 2·N total; a pruned entry costs one re-bake /
     /// re-render on its next miss, never correctness.
     pub store: StoreOptions,
-    /// The persistent worker pool the engine's stage fan-outs (profiling,
-    /// baking) dispatch through, and whose dispatch/job counters
-    /// [`StageTimings`] reports. Defaults to the process-wide
-    /// [`WorkerPool::shared`] pool — the same pool the inner layers
-    /// (ground-truth ray marching, batched measurement, fused metrics)
-    /// dispatch on — so no stage ever re-spawns threads. Tests can
-    /// substitute a leaked owned pool to isolate the outer fan-outs'
-    /// dispatch counters. Scheduling never changes output bits (see
-    /// `docs/pool.md`).
-    pub pool: &'static WorkerPool,
     /// Deterministic compute-stage fault injection
     /// ([`crate::fault::StageFaultInjector`]): when set, every stage entry
     /// (segmentation, profiling, selection, baking) is gated through the
@@ -215,7 +203,6 @@ impl std::fmt::Debug for PipelineOptions {
             .field("selector", &self.selector.name())
             .field("worker_threads", &self.worker_threads)
             .field("store", &self.store)
-            .field("pool_threads", &self.pool.threads())
             .field("stage_faults", &self.stage_faults)
             .finish()
     }
@@ -230,7 +217,6 @@ impl Default for PipelineOptions {
             selector: Arc::new(DpSelector::default()),
             worker_threads: 0,
             store: StoreOptions::default(),
-            pool: WorkerPool::shared(),
             stage_faults: None,
         }
     }
@@ -291,13 +277,6 @@ impl PipelineOptions {
         self
     }
 
-    /// Replaces the worker pool the parallel stages dispatch through (see
-    /// [`PipelineOptions::pool`]). Scheduling never changes output bits.
-    pub fn with_pool(mut self, pool: &'static WorkerPool) -> Self {
-        self.pool = pool;
-        self
-    }
-
     /// Convenience: persists the stores under one directory, sharing bakes
     /// and ground truths across processes (see [`PipelineOptions::store`]).
     pub fn with_cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
@@ -338,27 +317,13 @@ pub struct StageTimings {
     pub segmentation: Duration,
     /// Lightweight profiling (sample bakes + curve fitting), wall clock.
     pub profiling: Duration,
-    /// Sum of the per-object profiling durations — what the sequential seed
-    /// path would have paid. `profiling_serial / profiling` is the parallel
-    /// speedup of the stage.
-    pub profiling_serial: Duration,
-    /// Time spent ray-marching object ground truths inside the profiling
-    /// stage (sum of per-object build times — the dominant profiling cost).
-    /// Near zero when the shared [`GroundTruthCache`] answered every lookup,
-    /// e.g. on a warm persistent store.
-    pub ground_truth: Duration,
     /// Ground truths actually rendered by the profiling stage.
     pub ground_truth_builds: usize,
     /// Ground-truth lookups answered without rendering (in-memory or
     /// persistent-store hits).
     pub ground_truth_hits: usize,
-    /// Time spent in the fused quality-metrics evaluations (SSIM scoring of
-    /// sample renders against the ground truth) inside the profiling stage —
-    /// the dominant warm-cache profiling cost. Sum of per-evaluation wall
-    /// times (serial-equivalent, like `profiling_serial`): concurrent sample
-    /// workers score in parallel, so this can exceed the stage's wall clock.
-    pub metrics: Duration,
-    /// Number of (ground truth, render) pairs the metrics stage scored.
+    /// (Ground truth, render) pairs the profiling stage scored: the sum of
+    /// `samples.len()` × probe views over the profiles it measured.
     pub metrics_evaluations: usize,
     /// Configuration selection (the DP solver).
     pub selection: Duration,
@@ -399,29 +364,6 @@ impl StageTimings {
         self.segmentation + self.profiling + self.selection
     }
 
-    /// Ground-truth render time in milliseconds (the `ground_truth_ms`
-    /// figure reported by the fig9 JSON output).
-    pub fn ground_truth_ms(&self) -> f64 {
-        self.ground_truth.as_secs_f64() * 1000.0
-    }
-
-    /// Quality-metrics evaluation time in milliseconds (the `metrics_ms`
-    /// figure reported by the fig9 JSON output).
-    pub fn metrics_ms(&self) -> f64 {
-        self.metrics.as_secs_f64() * 1000.0
-    }
-
-    /// Parallel speedup of the profiling stage (serial-equivalent time over
-    /// wall time; 1.0 when the stage ran on one worker).
-    pub fn profiling_speedup(&self) -> f64 {
-        let wall = self.profiling.as_secs_f64();
-        if wall <= 0.0 {
-            1.0
-        } else {
-            (self.profiling_serial.as_secs_f64() / wall).max(1.0)
-        }
-    }
-
     /// Final-bake requests answered without baking, from either the
     /// in-process cache or the persistent on-disk store.
     pub fn cache_served(&self) -> usize {
@@ -442,18 +384,15 @@ impl StageTimings {
     /// Formats the breakdown as a one-line summary.
     pub fn summary(&self) -> String {
         format!(
-            "segmentation {} | profiler {} ({}x{} workers, {:.1}x speedup; ground truth {}, \
-             {} built / {} cached; metrics {}, {} evaluations) | solver {} | total overhead {} | \
+            "segmentation {} | profiler {} ({}x{} workers; ground truth {} built / {} cached; \
+             {} metrics evaluations) | solver {} | total overhead {} | \
              bake cache {}/{} hits ({} from disk) | pool {} dispatches / {} jobs",
             format_duration(self.segmentation),
             format_duration(self.profiling),
             self.profiling_workers.max(1),
             self.profiling_sample_workers.max(1),
-            self.profiling_speedup(),
-            format_duration(self.ground_truth),
             self.ground_truth_builds,
             self.ground_truth_hits,
-            format_duration(self.metrics),
             self.metrics_evaluations,
             format_duration(self.selection),
             format_duration(self.overhead()),
@@ -607,19 +546,19 @@ impl NerflexPipeline {
         })
     }
 
-    /// Stage 2: lightweight profiling, one profile per scene object, fanned
-    /// out over the worker pool at two levels: the outer fan-out covers the
-    /// objects, and the worker budget left over fans out *within* each
-    /// profile — over its independent sample measurements and over the row
-    /// tiles of its ground-truth renders. With one configured worker every
-    /// level collapses to the bit-for-bit sequential path. Sample bakes land
-    /// in `cache`; ground truths land in (and come from) the shared
-    /// [`GroundTruthCache`], so duplicate objects and warm persistent stores
-    /// skip the dominant ray-marching cost entirely. Returns the profiles
-    /// and the profiling fields of [`StageTimings`]: the wall time, the
-    /// serial-equivalent time (sum of per-object durations), the
-    /// outer/inner worker counts used, the ground-truth and metrics
-    /// accounting and the pool counters.
+    /// Stage 2: lightweight profiling, one [`build_profile_in`] per scene
+    /// object, fanned out over the shared worker pool at two levels: the
+    /// outer fan-out covers the objects, and the worker budget left over
+    /// fans out *within* each profile — over its sample bakes, its
+    /// (configuration × view) scoring grid and the row tiles of its
+    /// ground-truth renders. With one configured worker every level
+    /// collapses to the bit-for-bit sequential path. Sample bakes land in
+    /// `cache`; ground truths land in (and come from) `ground_truth`, so
+    /// duplicate objects and warm persistent stores skip the ray marching.
+    /// Returns the profiles and the profiling fields of [`StageTimings`]:
+    /// the stage wall clock, the outer/inner worker counts, this run's
+    /// ground-truth builds and hits, the metrics evaluations and the pool
+    /// counter deltas.
     fn stage_profiling(
         &self,
         scene: &Scene,
@@ -632,43 +571,29 @@ impl NerflexPipeline {
         let sample_workers = (self.configured_workers() / workers).max(1);
         let mut profiler = self.options.profiler;
         profiler.measurement.worker_threads = sample_workers;
-        let metrics_accounting = MetricsAccounting::new();
-        let pool_before = self.options.pool.stats();
+        let pool = WorkerPool::shared();
+        let pool_before = pool.stats();
         // Snapshot the ground-truth counters so the stage reports *this
         // run's* deltas: a long-lived service reuses one cache across many
         // requests, and cumulative totals would misattribute earlier work.
         let gt_before = ground_truth.stats();
-        let gt_time_before = ground_truth.build_time();
-        let profiled = self.options.pool.run(scene.len(), workers, |idx| {
+        let profiles = pool.run(scene.len(), workers, |idx| {
             let object = &scene.objects()[idx];
-            let t_obj = Instant::now();
-            let profile = build_profile_in(
-                &object.model,
-                object.id,
-                &profiler,
-                Some(cache),
-                Some(ground_truth),
-                Some(&metrics_accounting),
-            );
-            (profile, t_obj.elapsed())
+            build_profile_in(&object.model, object.id, &profiler, cache, ground_truth)
         });
-        let serial = profiled.iter().map(|(_, d)| *d).sum();
-        let profiles = profiled.into_iter().map(|(p, _)| p).collect();
         let gt_stats = ground_truth.stats();
-        let pool_after = self.options.pool.stats();
+        let pool_after = pool.stats();
+        let samples: usize = profiles.iter().map(|profile| profile.samples.len()).sum();
         (
             profiles,
             StageTimings {
                 profiling: t.elapsed(),
-                profiling_serial: serial,
                 profiling_workers: workers,
                 profiling_sample_workers: sample_workers,
-                ground_truth: ground_truth.build_time() - gt_time_before,
                 ground_truth_builds: gt_stats.misses - gt_before.misses,
                 ground_truth_hits: (gt_stats.hits + gt_stats.disk_hits)
                     - (gt_before.hits + gt_before.disk_hits),
-                metrics: metrics_accounting.time(),
-                metrics_evaluations: metrics_accounting.evaluations(),
+                metrics_evaluations: samples * profiler.measurement.views,
                 pool_dispatches: pool_after.dispatches - pool_before.dispatches,
                 pool_jobs: pool_after.jobs - pool_before.jobs,
                 ..StageTimings::default()
@@ -703,7 +628,7 @@ impl NerflexPipeline {
         let t = Instant::now();
         let before = cache.stats();
         let workers = self.workers_for(scene.len());
-        let assets = self.options.pool.run(scene.len(), workers, |idx| {
+        let assets = WorkerPool::shared().run(scene.len(), workers, |idx| {
             let object = &scene.objects()[idx];
             // Bake exactly what the selector chose: clamping a selected
             // configuration would silently diverge from the prediction the
@@ -1002,14 +927,12 @@ mod tests {
         let t = deployment.timings;
         assert_eq!(t.ground_truth_builds, 1, "duplicate object must hit the GT cache: {t:?}");
         assert_eq!(t.ground_truth_hits, 1);
-        assert!(t.ground_truth > Duration::ZERO);
-        assert!(t.ground_truth_ms() > 0.0);
         assert!(t.summary().contains("ground truth"));
-        // The metrics stage is accounted alongside: every sample render of
-        // both profiles was scored by the fused engine.
-        assert!(t.metrics > Duration::ZERO, "metrics stage must be timed: {t:?}");
-        assert!(t.metrics_ms() > 0.0);
+        // Every sample of both profiles was scored once per probe view.
+        let views = PipelineOptions::quick().profiler.measurement.views;
+        let samples: usize = deployment.profiles.iter().map(|p| p.samples.len()).sum();
         assert!(t.metrics_evaluations > 0);
+        assert_eq!(t.metrics_evaluations, samples * views, "{t:?}");
         assert!(t.summary().contains("metrics"));
     }
 
@@ -1065,6 +988,11 @@ mod tests {
         assert!(second.coalesced, "the repeat must reuse the resident shared stages");
         assert_eq!(second.deployment.timings.cache_misses, 0, "warm cache must re-bake nothing");
         assert_eq!(second.deployment.timings.cache_hits, scene.len());
+        // Its timings carry the reused shared stages' counters.
+        assert_eq!(
+            second.deployment.timings.metrics_evaluations,
+            first.deployment.timings.metrics_evaluations
+        );
         assert_eq!(first.deployment_fingerprint, second.deployment_fingerprint);
         assert_eq!(
             first.deployment.workload().total_quads,
@@ -1198,12 +1126,10 @@ mod tests {
             .with_selector(Arc::clone(&default.selector))
             .with_worker_threads(default.worker_threads)
             .with_store(default.store.clone())
-            .with_pool(default.pool)
             .with_stage_faults(crate::fault::StageFaultPlan::none());
         assert_eq!(rebuilt.profiler.range, default.profiler.range);
         assert_eq!(rebuilt.space.configurations().len(), default.space.configurations().len());
         assert_eq!(rebuilt.worker_threads, default.worker_threads);
         assert_eq!(rebuilt.store.describe(), default.store.describe());
-        assert!(std::ptr::eq(rebuilt.pool, default.pool));
     }
 }

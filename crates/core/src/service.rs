@@ -674,7 +674,7 @@ impl ServiceShared {
             // acyclic and cannot deadlock. Cancellation and deadlines are
             // part of the predicate so an abandoned waiter leaves promptly
             // — without touching the cell.
-            self.pool().wait_until(|| {
+            WorkerPool::shared().wait_until(|| {
                 flight.cancelled.load(Ordering::Relaxed)
                     || self.deadline_passed(job)
                     || !matches!(
@@ -741,10 +741,6 @@ impl ServiceShared {
         );
         let deployment_fingerprint = nerflex_bake::disk::deployment_fingerprint(&deployment.assets);
         Ok(CompletedDeploy { deployment, coalesced, deployment_fingerprint })
-    }
-
-    fn pool(&self) -> &'static WorkerPool {
-        self.pipeline.options().pool
     }
 
     /// Processes one claimed request and settles its ticket: the one path
@@ -1096,7 +1092,7 @@ impl DeployService {
             // detected even though a stalled executor never signals.
             if self.shared.watchdog_ticks.is_some() {
                 drop(q);
-                let _progressed = self.shared.pool().wait_until_for(
+                let _progressed = WorkerPool::shared().wait_until_for(
                     || {
                         let q = self.shared.queue.lock().expect("service queue poisoned");
                         !q.completed.is_empty() || (q.queued.is_empty() && q.inflight.is_empty())

@@ -53,11 +53,6 @@ impl Color {
         Self::new(self.r * s, self.g * s, self.b * s)
     }
 
-    /// Channel-wise product (modulation).
-    pub fn modulate(self, other: Self) -> Self {
-        Self::new(self.r * other.r, self.g * other.g, self.b * other.b)
-    }
-
     /// Maximum absolute per-channel difference to `other`.
     pub fn max_channel_diff(self, other: Self) -> f32 {
         (self.r - other.r).abs().max((self.g - other.g).abs()).max((self.b - other.b).abs())
@@ -160,11 +155,6 @@ impl Image {
     /// Immutable view of the raw pixel buffer (row-major).
     pub fn pixels(&self) -> &[Color] {
         &self.pixels
-    }
-
-    /// Mutable view of the raw pixel buffer (row-major).
-    pub fn pixels_mut(&mut self) -> &mut [Color] {
-        &mut self.pixels
     }
 
     /// Per-pixel luminance plane.

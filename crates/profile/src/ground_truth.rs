@@ -35,7 +35,6 @@ use nerflex_scene::object::ObjectModel;
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Version of the on-disk ground-truth entry format. Bump on ANY layout
 /// change **and on any change to what the renderer produces** — shading
@@ -237,13 +236,6 @@ impl GroundTruthCache {
         self.store.stats()
     }
 
-    /// Total wall-clock time this cache spent rendering ground truths —
-    /// the pipeline's `ground_truth_ms`. Exactly zero when every lookup was
-    /// a hit.
-    pub fn build_time(&self) -> Duration {
-        self.store.build_time()
-    }
-
     /// Returns the ground truth for `(model, settings)`, rendering and
     /// storing it on first request. An entry indexed from the persistent
     /// store is read and decoded here, on its first lookup — outside the
@@ -353,7 +345,6 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (2, 1, 1));
         assert!(Arc::ptr_eq(&first, &again) && Arc::ptr_eq(&first, &clone));
-        assert!(cache.build_time() > Duration::ZERO);
         // Worker counts never affect the key (output bits are identical).
         let other = cache.get_or_build(&model, &settings.with_worker_threads(4));
         assert!(Arc::ptr_eq(&first, &other), "worker count is not part of the key");
@@ -379,8 +370,11 @@ mod tests {
         assert_eq!(reopened.stats().indexed, 1);
         let loaded = reopened.get_or_build(&model, &settings);
         let stats = reopened.stats();
-        assert_eq!((stats.hits, stats.disk_hits, stats.misses), (0, 1, 0));
-        assert_eq!(reopened.build_time(), Duration::ZERO, "warm lookup renders nothing");
+        assert_eq!(
+            (stats.hits, stats.disk_hits, stats.misses),
+            (0, 1, 0),
+            "warm lookup renders nothing"
+        );
         // The persisted ground truth is bit-identical to the fresh build.
         assert_eq!(built.images, loaded.images);
         assert_eq!(built.poses.len(), loaded.poses.len());
@@ -464,7 +458,6 @@ mod tests {
         let loaded = b.get_or_build(&model, &settings);
         let stats = b.stats();
         assert_eq!((stats.disk_hits, stats.misses), (1, 0), "warm remote renders nothing");
-        assert_eq!(b.build_time(), Duration::ZERO);
         assert_eq!(built.images, loaded.images, "remote round-trip is bit-identical");
     }
 
@@ -478,20 +471,20 @@ mod tests {
 
     #[test]
     fn measurements_do_not_depend_on_the_ground_truth_source() {
-        use crate::measurement::measure_object_in;
-        use nerflex_bake::BakeConfig;
+        use crate::measurement::{measure_object, measure_object_in};
+        use nerflex_bake::{BakeCache, BakeConfig};
 
         let tmp = TempDir::new("measure");
         let model = CanonicalObject::Hotdog.build();
         let settings = quick_settings();
         let configs = [BakeConfig::new(10, 3), BakeConfig::new(16, 5)];
 
-        let direct = measure_object_in(&model, &configs, &settings, None, None, None);
+        let direct = measure_object(&model, &configs, &settings);
         let cold = GroundTruthCache::open(&tmp.0).expect("open");
-        let first = measure_object_in(&model, &configs, &settings, None, Some(&cold), None);
+        let first = measure_object_in(&model, &configs, &settings, &BakeCache::new(), &cold);
         cold.flush().expect("flush");
         let warm = GroundTruthCache::open(&tmp.0).expect("reopen");
-        let second = measure_object_in(&model, &configs, &settings, None, Some(&warm), None);
+        let second = measure_object_in(&model, &configs, &settings, &BakeCache::new(), &warm);
         assert_eq!(direct, first);
         assert_eq!(first, second);
         assert_eq!(warm.stats().misses, 0, "warm run renders no ground truth");

@@ -33,7 +33,7 @@ pub mod profiler;
 pub mod sampling;
 
 pub use ground_truth::GroundTruthCache;
-pub use measurement::{measure_object, measure_object_in, Measurement, MetricsAccounting};
+pub use measurement::{measure_object, measure_object_in, Measurement};
 pub use model::{
     QualityModel, SizeModel, SizeQualityModel, SplatModels, SplatQualityModel, SplatSizeModel,
 };

@@ -6,7 +6,8 @@
 //! training runs for the sample points; the profiler then fits its
 //! closed-form models to these measurements.
 
-use nerflex_bake::{bake_object, BakeCache, BakeConfig};
+use crate::ground_truth::GroundTruthCache;
+use nerflex_bake::{BakeCache, BakeConfig};
 use nerflex_image::{metrics, Image, MetricsScratch};
 use nerflex_math::pool::default_workers;
 use nerflex_math::{LaneWidth, WorkerPool};
@@ -15,9 +16,6 @@ use nerflex_scene::camera_path::{orbit_path, CameraPose};
 use nerflex_scene::object::ObjectModel;
 use nerflex_scene::scene::Scene;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 /// One measured sample point.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -67,46 +65,6 @@ impl MeasurementSettings {
     pub fn with_worker_threads(mut self, workers: usize) -> Self {
         self.worker_threads = workers;
         self
-    }
-}
-
-/// Shared accounting of the quality-metrics stage: how long the fused SSIM
-/// evaluations took across every sample measurement, and how many image
-/// pairs were scored. One instance is threaded through a profiling run (it
-/// is `Sync`; the parallel sample workers all record into it) and surfaces
-/// as `StageTimings::metrics` / fig9's `metrics_ms`.
-///
-/// The recorded time is the **sum of per-evaluation wall times** — the
-/// serial-equivalent cost of the stage, like `StageTimings::profiling_serial`
-/// — not the stage's wall clock: concurrent sample workers score in
-/// parallel, so the sum can exceed elapsed time.
-#[derive(Debug, Default)]
-pub struct MetricsAccounting {
-    time: Mutex<Duration>,
-    evaluations: AtomicUsize,
-}
-
-impl MetricsAccounting {
-    /// Creates zeroed accounting.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one scored image pair's wall-clock time.
-    fn record(&self, elapsed: Duration) {
-        *self.time.lock().expect("metrics accounting poisoned") += elapsed;
-        self.evaluations.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total time spent evaluating quality metrics (sum of per-evaluation
-    /// wall times — serial-equivalent, see the type docs).
-    pub fn time(&self) -> Duration {
-        *self.time.lock().expect("metrics accounting poisoned")
-    }
-
-    /// Number of (ground truth, render) pairs scored.
-    pub fn evaluations(&self) -> usize {
-        self.evaluations.load(Ordering::Relaxed)
     }
 }
 
@@ -213,70 +171,38 @@ impl ObjectGroundTruth {
 /// Measures every configuration in `configs` for a standalone object.
 ///
 /// This is the "ground truth" path used both to build profiles (on the sample
-/// configurations) and to validate them (on a dense grid, Fig. 3).
+/// configurations) and to validate them (on a dense grid, Fig. 3). It runs
+/// [`measure_object_in`] over fresh in-memory stores.
 pub fn measure_object(
     model: &ObjectModel,
     configs: &[BakeConfig],
     settings: &MeasurementSettings,
 ) -> Vec<Measurement> {
-    measure_object_in(model, configs, settings, None, None, None)
+    measure_object_in(model, configs, settings, &BakeCache::new(), &GroundTruthCache::new())
 }
 
-/// [`measure_object`] wired into the engine's shared state, each part
-/// optional:
-///
-/// * `cache` — sample bakes go through the shared [`BakeCache`], so the
-///   final baking stage can reuse every configuration the profiler paid for;
-/// * `ground_truth` — the expensive ray-marched ground truth comes from a
-///   shared [`GroundTruthCache`](crate::ground_truth::GroundTruthCache), so
-///   repeated profiling of one (model, probe settings) pair (duplicate
-///   objects, fleet re-deployments, warm bench/CI runs) renders it once.
-///   Cached and fresh ground truths are bit-identical, so the measurements
-///   do not depend on where it came from;
-/// * `accounting` — wall-clock accounting of the fused quality-metrics
-///   stage (the engine passes one [`MetricsAccounting`] per profiling run
-///   and reports its total as `StageTimings::metrics`).
+/// The one measurement path. The ray-marched ground truth comes from
+/// `ground_truth`, so repeated profiling of one (model, probe settings)
+/// pair (duplicate objects, fleet re-deployments, warm persistent stores)
+/// renders it once; cached and fresh ground truths are bit-identical, so
+/// the measurements do not depend on where it came from. Then dispatch 1
+/// bakes every configuration in one [`BakeCache::get_or_bake_batch_placed`]
+/// (one bake surface per `(family, g)`; the bakes stay in `cache`, so the
+/// final baking stage reuses every configuration the profiler paid for),
+/// dispatch 2 fans the flattened (configuration × view) grid with a
+/// persistent [`MetricsScratch`] per pool worker, and the per-view scores
+/// are folded per configuration **in view order** — the same
+/// floating-point association as [`ObjectGroundTruth::measure`], so
+/// batching never changes a measurement bit (`1` worker is the bit-for-bit
+/// sequential path). Two dispatches regardless of the profile size.
 pub fn measure_object_in(
     model: &ObjectModel,
     configs: &[BakeConfig],
     settings: &MeasurementSettings,
-    cache: Option<&BakeCache>,
-    ground_truth: Option<&crate::ground_truth::GroundTruthCache>,
-    accounting: Option<&MetricsAccounting>,
+    cache: &BakeCache,
+    ground_truth: &GroundTruthCache,
 ) -> Vec<Measurement> {
-    let ground_truth = match ground_truth {
-        Some(shared) => shared.get_or_build(model, settings),
-        None => std::sync::Arc::new(ObjectGroundTruth::build(model, settings)),
-    };
-    measure_batched(&ground_truth, configs, settings, cache, accounting)
-}
-
-/// The whole-profile batched evaluation: dispatch 1 bakes every sample
-/// configuration in one [`BakeCache::get_or_bake_batch_placed`] (one bake
-/// surface per `(family, g)`), dispatch 2 fans the flattened
-/// (configuration × view) grid with a persistent [`MetricsScratch`] per
-/// pool worker, then the per-view scores are folded per configuration
-/// **in view order** — the same floating-point association as
-/// [`ObjectGroundTruth::measure`], so batching never changes a measurement
-/// bit (`1` worker is the bit-for-bit sequential path). Two dispatches
-/// regardless of the profile size.
-fn measure_batched(
-    ground_truth: &ObjectGroundTruth,
-    configs: &[BakeConfig],
-    settings: &MeasurementSettings,
-    cache: Option<&BakeCache>,
-    accounting: Option<&MetricsAccounting>,
-) -> Vec<Measurement> {
-    // Without a shared cache, a throwaway one still shares each (family,
-    // g) surface across the batch.
-    let throwaway;
-    let cache = match cache {
-        Some(cache) => cache,
-        None => {
-            throwaway = BakeCache::new();
-            &throwaway
-        }
-    };
+    let ground_truth = ground_truth.get_or_build(model, settings);
     let pool = WorkerPool::shared();
     let placed = &ground_truth.scene.objects()[0];
     let assets = cache.get_or_bake_batch_placed(placed, configs, settings.worker_threads);
@@ -295,18 +221,13 @@ fn measure_batched(
             ground_truth.resolution,
             &RenderOptions::default(),
         );
-        let started = Instant::now();
-        let ssim = metrics::quality_metrics_scratch(
+        metrics::quality_metrics_scratch(
             &ground_truth.images[view],
             &img,
             settings.lane_width,
             scratch,
         )
-        .ssim;
-        if let Some(accounting) = accounting {
-            accounting.record(started.elapsed());
-        }
-        ssim
+        .ssim
     });
     assets
         .into_iter()
@@ -324,22 +245,6 @@ fn measure_batched(
             }
         })
         .collect()
-}
-
-/// Measures a single standalone bake without reusing ground truth (handy for
-/// one-off comparisons in examples and tests).
-pub fn measure_single(
-    model: &ObjectModel,
-    config: BakeConfig,
-    settings: &MeasurementSettings,
-) -> Measurement {
-    // Standalone size accounting (no placement) sanity-checks the placed bake.
-    let standalone_size = bake_object(model, config).size_mb();
-    let ground_truth = ObjectGroundTruth::build(model, settings);
-    let mut m = ground_truth.measure(config);
-    debug_assert!((m.size_mb - standalone_size).abs() < standalone_size * 0.5 + 1.0);
-    m.size_mb = standalone_size;
-    m
 }
 
 #[cfg(test)]
@@ -437,27 +342,5 @@ mod tests {
                 measure_object(&model, &configs, &quick_settings().with_worker_threads(workers));
             assert_eq!(reference, batched, "workers={workers}");
         }
-    }
-
-    #[test]
-    fn metrics_accounting_records_time_and_evaluations() {
-        let model = CanonicalObject::Hotdog.build();
-        let settings = quick_settings();
-        let accounting = MetricsAccounting::new();
-        let configs = [BakeConfig::new(10, 3), BakeConfig::new(16, 5)];
-        let _ = measure_object_in(&model, &configs, &settings, None, None, Some(&accounting));
-        // One metrics evaluation per (config, probe view).
-        assert_eq!(accounting.evaluations(), configs.len() * settings.views);
-        assert!(accounting.time() > std::time::Duration::ZERO);
-    }
-
-    #[test]
-    fn measure_single_matches_measure_object() {
-        let model = CanonicalObject::Hotdog.build();
-        let settings = quick_settings();
-        let single = measure_single(&model, BakeConfig::new(16, 5), &settings);
-        let batch = measure_object(&model, &[BakeConfig::new(16, 5)], &settings);
-        assert!((single.ssim - batch[0].ssim).abs() < 1e-9);
-        assert!((single.size_mb - batch[0].size_mb).abs() < 1e-6);
     }
 }

@@ -1,7 +1,8 @@
 //! Per-object profiles: sample, measure, fit.
 
 use crate::fit::{fit_quality_model, fit_size_model, fit_splat_models};
-use crate::measurement::{Measurement, MeasurementSettings};
+use crate::ground_truth::GroundTruthCache;
+use crate::measurement::{measure_object_in, Measurement, MeasurementSettings};
 use crate::model::{ProfileModels, QualityModel, SizeModel, SizeQualityModel, SplatModels};
 use crate::sampling::{
     sample_configurations, splat_sample_configurations, SampleRange, SplatSampleRange,
@@ -119,44 +120,34 @@ impl SizeQualityModel for ObjectProfile {
 }
 
 /// Builds the profile of one object: pick sample configurations with the
-/// variable-step strategy, measure them, and fit both models.
+/// variable-step strategy, measure them, and fit both models. Runs
+/// [`build_profile_in`] over fresh in-memory stores.
 pub fn build_profile(
     model: &ObjectModel,
     object_id: usize,
     options: &ProfilerOptions,
 ) -> ObjectProfile {
-    build_profile_in(model, object_id, options, None, None, None)
+    build_profile_in(model, object_id, options, &BakeCache::new(), &GroundTruthCache::new())
 }
 
-/// [`build_profile`] wired into the engine's shared state, which the
-/// pipeline always passes: sample bakes go through the shared [`BakeCache`]
-/// (every configuration the profiler probes is then already baked if the
-/// selector later picks it), the ray-marched ground truth through the
-/// shared [`GroundTruthCache`](crate::ground_truth::GroundTruthCache)
-/// (duplicate objects and repeated runs render each object's probe views
-/// once; cached ground truths are bit-identical to fresh ones), and the
-/// fused quality-metrics time into the given
-/// [`MetricsAccounting`](crate::measurement::MetricsAccounting), reported
-/// as the `metrics` stage of the engine's timings. See
-/// [`measure_object_in`](crate::measurement::measure_object_in).
+/// The one profiling path: measures the sample configurations through
+/// [`measure_object_in`] — sample bakes land in `cache`, so every
+/// configuration the profiler probes is already baked if the selector later
+/// picks it, and the ray-marched ground truth comes from `ground_truth`, so
+/// duplicate objects and repeated runs render each object's probe views
+/// once — and fits the models. The profile's `samples.len()` ×
+/// `options.measurement.views` is the (configuration × view) grid it
+/// scored.
 pub fn build_profile_in(
     model: &ObjectModel,
     object_id: usize,
     options: &ProfilerOptions,
-    cache: Option<&BakeCache>,
-    ground_truth: Option<&crate::ground_truth::GroundTruthCache>,
-    accounting: Option<&crate::measurement::MetricsAccounting>,
+    cache: &BakeCache,
+    ground_truth: &GroundTruthCache,
 ) -> ObjectProfile {
     let mut configs = sample_configurations(&options.range);
     configs.extend(splat_sample_configurations(&options.splats));
-    let samples = crate::measurement::measure_object_in(
-        model,
-        &configs,
-        &options.measurement,
-        cache,
-        ground_truth,
-        accounting,
-    );
+    let samples = measure_object_in(model, &configs, &options.measurement, cache, ground_truth);
     build_profile_from_measurements(model, object_id, samples)
 }
 

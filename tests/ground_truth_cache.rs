@@ -43,8 +43,7 @@ fn second_run_over_a_persisted_store_renders_no_ground_truth() {
     // The cross-process warm path the CI bench-smoke job asserts: run one
     // renders and flushes every ground truth, run two (a fresh pipeline over
     // the same cache dir, simulating a second process) must report
-    // ground_truth_builds == 0 and a ground-truth time of exactly zero —
-    // with identical deployment output.
+    // ground_truth_builds == 0 — with identical deployment output.
     let tmp = TempDir::new("warm");
     let (scene, dataset) = small_setup();
     let device = DeviceSpec::iphone_13();
@@ -53,7 +52,6 @@ fn second_run_over_a_persisted_store_renders_no_ground_truth() {
     let first =
         NerflexPipeline::new(options.clone()).try_run(&scene, &dataset, &device).expect("deploy");
     assert_eq!(first.timings.ground_truth_builds, scene.len());
-    assert!(first.timings.ground_truth_ms() > 0.0);
 
     let second = NerflexPipeline::new(options).try_run(&scene, &dataset, &device).expect("deploy");
     assert_eq!(
@@ -62,7 +60,6 @@ fn second_run_over_a_persisted_store_renders_no_ground_truth() {
         second.timings
     );
     assert_eq!(second.timings.ground_truth_hits, scene.len());
-    assert_eq!(second.timings.ground_truth_ms(), 0.0);
 
     // Cached ground truths are bit-identical, so the whole decision chain is.
     assert_eq!(first.selection.assignments.len(), second.selection.assignments.len());
