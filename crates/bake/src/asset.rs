@@ -83,8 +83,9 @@ pub struct BakedAsset {
 const VERTEX_BYTES: usize = 24;
 /// Bytes per quad: four u32 vertex indices.
 const QUAD_BYTES: usize = 16;
-/// Size of the shared deferred-shading MLP counted when none is attached
-/// (435 parameters × 4 bytes, see `TinyMlp::shading_model`).
+/// Size of the shared deferred-shading MLP counted when none is attached:
+/// a 6-16-16-3 network (normal and albedo in, RGB out) of 435 parameters ×
+/// 4 bytes, the few-KB shading network MobileNeRF ships.
 const DEFAULT_MLP_BYTES: usize = 435 * 4;
 
 impl BakedAsset {
@@ -212,6 +213,17 @@ mod tests {
         );
         assert!(asset.size_mb() > 0.0);
         assert_eq!(asset.name, "hotdog");
+    }
+
+    #[test]
+    fn the_default_mlp_charge_is_a_6_16_16_3_network() {
+        let mlp = crate::mlp::fixed_network(&[6, 16, 16, 3]);
+        assert_eq!(DEFAULT_MLP_BYTES, mlp.size_bytes());
+        // Attaching a network of that shape leaves the size unchanged.
+        let mut asset = bake_object(&CanonicalObject::Hotdog.build(), BakeConfig::new(12, 3));
+        let charged = asset.size_bytes();
+        asset.mlp = Some(mlp);
+        assert_eq!(asset.size_bytes(), charged);
     }
 
     #[test]

@@ -530,7 +530,7 @@ mod tests {
         let model = CanonicalObject::Hotdog.build();
         let mut asset = bake_object(&model, BakeConfig::new(12, 3));
         if with_mlp {
-            asset.mlp = Some(TinyMlp::shading_model(7));
+            asset.mlp = Some(crate::mlp::fixed_network(&[6, 16, 16, 3]));
         }
         asset
     }

@@ -3,8 +3,8 @@
 //! MobileNeRF-style baking simulator: converts a procedural object into the
 //! multi-modal representation that mesh-assisted NeRF systems ship to the
 //! device — a quad mesh extracted from a voxel grid of granularity `g`, a
-//! texture atlas allocating `p × p` texels per quad, and a tiny deferred
-//! shading MLP.
+//! texture atlas allocating `p × p` texels per quad, and a tiny
+//! deferred-shading MLP (charged by its size here, never evaluated).
 //!
 //! The paper bakes a trained NeRF; we bake the analytic scene (DESIGN.md
 //! documents the substitution). What matters for NeRFlex is preserved

@@ -1,22 +1,22 @@
-//! The tiny deferred-shading MLP shipped alongside the baked data.
+//! The tiny deferred-shading MLP, carried as a size charge.
 //!
 //! Mesh-assisted NeRF renderers (MobileNeRF, NeRF2Mesh) store view-dependent
-//! appearance in a minimal MLP evaluated per fragment. The paper notes the
-//! MLP "is extremely small, around only a few KB" and excludes it from the
-//! configuration knobs; we do the same, but we still implement it as a real
-//! network — a fully-connected ReLU MLP with a sigmoid output — train it to
-//! reproduce the reference shading model, account for its bytes in the asset
-//! size, and let the renderer optionally use it instead of analytic shading
-//! (an ablation in the benchmark suite).
+//! appearance in a minimal MLP that the device evaluates per fragment. The
+//! paper notes the MLP "is extremely small, around only a few KB" and
+//! excludes it from the configuration knobs. We do the same and go one step
+//! further: nothing here trains or evaluates a network. Every mesh asset is
+//! charged the bytes of a 6-16-16-3 network
+//! ([`BakedAsset::mlp_size_bytes`](crate::BakedAsset::mlp_size_bytes)), and
+//! the renderer shades with the analytic model the ground truth uses.
+//! [`TinyMlp`] is only the shape-checked parameter block that
+//! `BakedAsset::mlp` and a bake entry may carry; no production bake
+//! attaches one.
 
-use nerflex_image::Color;
-use nerflex_math::Vec3;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-/// A small fully-connected network with ReLU hidden activations and a
-/// sigmoid output layer.
+/// The parameters of a small fully-connected network: one weight matrix and
+/// one bias vector per layer, each layer's input width chaining onto the
+/// previous layer's output width.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TinyMlp {
     /// Per-layer weight matrices, row-major `[out][in]`.
@@ -26,31 +26,6 @@ pub struct TinyMlp {
 }
 
 impl TinyMlp {
-    /// Creates a network with the given layer sizes (e.g. `[6, 16, 16, 3]`)
-    /// and small deterministic random weights.
-    ///
-    /// # Panics
-    ///
-    /// Panics when fewer than two layer sizes are given or any size is zero.
-    pub fn new(layer_sizes: &[usize], seed: u64) -> Self {
-        assert!(layer_sizes.len() >= 2, "an MLP needs at least input and output layers");
-        assert!(layer_sizes.iter().all(|&s| s > 0), "layer sizes must be positive");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut weights = Vec::new();
-        let mut biases = Vec::new();
-        for w in layer_sizes.windows(2) {
-            let (n_in, n_out) = (w[0], w[1]);
-            let scale = (2.0 / n_in as f32).sqrt();
-            weights.push(
-                (0..n_out)
-                    .map(|_| (0..n_in).map(|_| rng.gen_range(-scale..scale)).collect())
-                    .collect(),
-            );
-            biases.push(vec![0.0; n_out]);
-        }
-        Self { weights, biases }
-    }
-
     /// The raw per-layer weight matrices and bias vectors (the persistence
     /// codec's view of the network).
     pub fn parameters(&self) -> (&[Vec<Vec<f32>>], &[Vec<f32>]) {
@@ -100,139 +75,24 @@ impl TinyMlp {
     pub fn size_bytes(&self) -> usize {
         self.parameter_count() * 4
     }
+}
 
-    /// Forward pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `input` does not match the input layer width.
-    pub fn forward(&self, input: &[f32]) -> Vec<f32> {
-        self.forward_with_activations(input).pop().expect("at least one layer")
-    }
-
-    /// Forward pass retaining every layer's activations (used by training).
-    fn forward_with_activations(&self, input: &[f32]) -> Vec<Vec<f32>> {
-        assert_eq!(input.len(), self.weights[0][0].len(), "input width mismatch");
-        let last = self.weights.len() - 1;
-        let mut activations = vec![input.to_vec()];
-        for (l, (w, b)) in self.weights.iter().zip(&self.biases).enumerate() {
-            let prev = activations.last().expect("non-empty activations");
-            let mut out = Vec::with_capacity(b.len());
-            for (row, bias) in w.iter().zip(b) {
-                let mut z = *bias;
-                for (wi, xi) in row.iter().zip(prev) {
-                    z += wi * xi;
-                }
-                out.push(if l == last {
-                    1.0 / (1.0 + (-z).exp()) // sigmoid output
-                } else {
-                    z.max(0.0) // ReLU hidden
-                });
-            }
-            activations.push(out);
-        }
-        activations
-    }
-
-    /// One SGD step on a single `(input, target)` pair with learning rate
-    /// `lr`, returning the squared error before the update.
-    fn sgd_step(&mut self, input: &[f32], target: &[f32], lr: f32) -> f32 {
-        let activations = self.forward_with_activations(input);
-        let output = activations.last().expect("output layer");
-        let last = self.weights.len() - 1;
-        // Output delta for sigmoid + squared error.
-        let mut delta: Vec<f32> =
-            output.iter().zip(target).map(|(o, t)| (o - t) * o * (1.0 - o)).collect();
-        let loss: f32 = output.iter().zip(target).map(|(o, t)| (o - t) * (o - t)).sum();
-        for l in (0..=last).rev() {
-            let prev_activation = activations[l].clone();
-            // Delta to propagate to the previous layer (before this layer's update).
-            let mut prev_delta = vec![0.0f32; prev_activation.len()];
-            for (j, d) in delta.iter().enumerate() {
-                for (i, pd) in prev_delta.iter_mut().enumerate() {
-                    *pd += self.weights[l][j][i] * d;
-                }
-            }
-            // ReLU derivative for hidden layers.
-            if l > 0 {
-                for (pd, a) in prev_delta.iter_mut().zip(&activations[l]) {
-                    if *a <= 0.0 {
-                        *pd = 0.0;
-                    }
-                }
-            }
-            for (j, d) in delta.iter().enumerate() {
-                for (i, a) in prev_activation.iter().enumerate() {
-                    self.weights[l][j][i] -= lr * d * a;
-                }
-                self.biases[l][j] -= lr * d;
-            }
-            delta = prev_delta;
-        }
-        loss
-    }
-
-    /// Trains the network on the given samples for `epochs` passes, returning
-    /// the mean squared error of the final epoch.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `inputs` and `targets` differ in length or are empty.
-    pub fn train(
-        &mut self,
-        inputs: &[Vec<f32>],
-        targets: &[Vec<f32>],
-        epochs: usize,
-        lr: f32,
-    ) -> f32 {
-        assert!(!inputs.is_empty(), "training set must be non-empty");
-        assert_eq!(inputs.len(), targets.len(), "inputs/targets length mismatch");
-        let mut last_loss = 0.0;
-        for _ in 0..epochs {
-            last_loss = 0.0;
-            for (x, t) in inputs.iter().zip(targets) {
-                last_loss += self.sgd_step(x, t, lr);
-            }
-            last_loss /= inputs.len() as f32;
-        }
-        last_loss
-    }
-
-    /// Builds and trains the deferred-shading MLP: it maps
-    /// `[normal.xyz, albedo.rgb]` to the shaded colour produced by the
-    /// reference shading model in `nerflex_scene::raymarch::shade`.
-    pub fn shading_model(seed: u64) -> Self {
-        let mut mlp = Self::new(&[6, 16, 16, 3], seed);
-        let normals = nerflex_math::sampling::fibonacci_sphere(64);
-        let mut inputs = Vec::new();
-        let mut targets = Vec::new();
-        for n in &normals {
-            for ai in 0..4 {
-                for gi in 0..3 {
-                    let albedo = Color::new(
-                        0.15 + 0.28 * ai as f32,
-                        0.2 + 0.25 * gi as f32,
-                        0.1 + 0.2 * ((ai + gi) % 4) as f32,
-                    );
-                    let shaded = nerflex_scene::raymarch::shade(albedo, *n);
-                    inputs.push(vec![n.x, n.y, n.z, albedo.r, albedo.g, albedo.b]);
-                    targets.push(vec![shaded.r, shaded.g, shaded.b]);
-                }
-            }
-        }
-        // Two-phase schedule: a coarse pass to find the basin, then a
-        // finer-rate pass to settle — keeps the worst-case shading error
-        // under ~10 % across initialisation seeds.
-        mlp.train(&inputs, &targets, 60, 0.05);
-        mlp.train(&inputs, &targets, 120, 0.02);
-        mlp
-    }
-
-    /// Evaluates the shading MLP for a normal and albedo.
-    pub fn shade(&self, normal: Vec3, albedo: Color) -> Color {
-        let out = self.forward(&[normal.x, normal.y, normal.z, albedo.r, albedo.g, albedo.b]);
-        Color::new(out[0], out[1], out[2])
-    }
+/// A network with the given layer widths whose parameters are fixed and
+/// pairwise distinct, so that a codec which drops, swaps or reorders one
+/// fails a round trip.
+#[cfg(test)]
+pub(crate) fn fixed_network(widths: &[usize]) -> TinyMlp {
+    let mut k = 0u16;
+    let mut next = || {
+        k += 1;
+        f32::from(k) / 64.0 - 2.0
+    };
+    let weights = widths
+        .windows(2)
+        .map(|w| (0..w[1]).map(|_| (0..w[0]).map(|_| next()).collect()).collect())
+        .collect();
+    let biases = widths[1..].iter().map(|&n| (0..n).map(|_| next()).collect()).collect();
+    TinyMlp::from_parameters(weights, biases).expect("consistent shapes")
 }
 
 #[cfg(test)]
@@ -241,7 +101,7 @@ mod tests {
 
     #[test]
     fn parameter_count_and_size() {
-        let mlp = TinyMlp::new(&[6, 16, 16, 3], 1);
+        let mlp = fixed_network(&[6, 16, 16, 3]);
         // 6*16+16 + 16*16+16 + 16*3+3 = 112 + 272 + 51 = 435 parameters.
         assert_eq!(mlp.parameter_count(), 435);
         assert_eq!(mlp.size_bytes(), 435 * 4);
@@ -249,65 +109,32 @@ mod tests {
     }
 
     #[test]
-    fn forward_output_is_in_unit_range() {
-        let mlp = TinyMlp::new(&[4, 8, 2], 7);
-        let out = mlp.forward(&[0.3, -0.2, 0.9, 1.5]);
-        assert_eq!(out.len(), 2);
-        assert!(out.iter().all(|v| (0.0..=1.0).contains(v)));
-    }
+    fn from_parameters_rejects_every_inconsistent_shape() {
+        let network = fixed_network(&[4, 3, 2]);
+        let (weights, biases) = network.parameters();
+        let rebuilt = TinyMlp::from_parameters(weights.to_vec(), biases.to_vec());
+        assert_eq!(rebuilt.as_ref(), Ok(&network), "a consistent network rebuilds");
 
-    #[test]
-    fn construction_is_deterministic() {
-        let a = TinyMlp::new(&[3, 5, 1], 42);
-        let b = TinyMlp::new(&[3, 5, 1], 42);
-        assert_eq!(a.forward(&[0.1, 0.2, 0.3]), b.forward(&[0.1, 0.2, 0.3]));
-    }
-
-    #[test]
-    fn training_reduces_loss_on_simple_function() {
-        // Learn y = mean(x) on 2 inputs.
-        let inputs: Vec<Vec<f32>> =
-            (0..64).map(|i| vec![(i % 8) as f32 / 8.0, (i / 8) as f32 / 8.0]).collect();
-        let targets: Vec<Vec<f32>> = inputs.iter().map(|x| vec![(x[0] + x[1]) / 2.0]).collect();
-        let mut mlp = TinyMlp::new(&[2, 8, 1], 3);
-        let initial: f32 = inputs
-            .iter()
-            .zip(&targets)
-            .map(|(x, t)| {
-                let o = mlp.forward(x)[0];
-                (o - t[0]) * (o - t[0])
-            })
-            .sum::<f32>()
-            / inputs.len() as f32;
-        let final_loss = mlp.train(&inputs, &targets, 200, 0.1);
-        assert!(final_loss < initial * 0.5, "loss {initial} -> {final_loss}");
-        assert!(final_loss < 0.01, "final loss too high: {final_loss}");
-    }
-
-    #[test]
-    fn shading_model_approximates_reference_shading() {
-        let mlp = TinyMlp::shading_model(11);
-        let mut max_err = 0.0f32;
-        for n in nerflex_math::sampling::fibonacci_sphere(32) {
-            let albedo = Color::new(0.6, 0.4, 0.3);
-            let reference = nerflex_scene::raymarch::shade(albedo, n);
-            let predicted = mlp.shade(n, albedo);
-            max_err = max_err.max(predicted.max_channel_diff(reference));
-        }
-        // A few KB of parameters reproduce the shading to within ~10 %.
-        assert!(max_err < 0.12, "max shading error {max_err}");
-    }
-
-    #[test]
-    #[should_panic(expected = "input width mismatch")]
-    fn wrong_input_width_panics() {
-        let mlp = TinyMlp::new(&[3, 4, 1], 0);
-        let _ = mlp.forward(&[1.0, 2.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least input and output")]
-    fn single_layer_panics() {
-        let _ = TinyMlp::new(&[3], 0);
+        type Parameters = (Vec<Vec<Vec<f32>>>, Vec<Vec<f32>>);
+        let edited = |edit: fn(&mut Parameters)| {
+            let mut parameters = (weights.to_vec(), biases.to_vec());
+            edit(&mut parameters);
+            TinyMlp::from_parameters(parameters.0, parameters.1)
+        };
+        assert_eq!(TinyMlp::from_parameters(Vec::new(), Vec::new()), Err("layer count mismatch"));
+        assert_eq!(edited(|(_, b)| b.truncate(1)), Err("layer count mismatch"));
+        assert_eq!(
+            edited(|(_, b)| b[1].push(0.5)),
+            Err("bias width differs from layer output width")
+        );
+        assert_eq!(edited(|(w, _)| w[0][2].truncate(3)), Err("weight matrix is not rectangular"));
+        assert_eq!(
+            edited(|(w, _)| w[0].iter_mut().for_each(Vec::clear)),
+            Err("weight matrix is not rectangular")
+        );
+        assert_eq!(
+            edited(|(w, _)| w[1].iter_mut().for_each(|row| row.push(0.5))),
+            Err("layer input width does not chain")
+        );
     }
 }

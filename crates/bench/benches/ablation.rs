@@ -1,14 +1,10 @@
-//! Ablation benchmarks for the design choices called out in DESIGN.md:
-//! DP capacity quantisation, the max- vs mean-frequency segmentation
-//! statistic, the crop-enlargement interpolation kernel, and MLP vs analytic
-//! deferred shading.
+//! Ablation benchmarks for three design choices: DP capacity quantisation,
+//! the max- vs mean-frequency segmentation statistic and the
+//! crop-enlargement interpolation kernel.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use nerflex_bake::{bake_object, BakeConfig, TinyMlp};
 use nerflex_image::Interpolation;
 use nerflex_profile::model::{ProfileModels, QualityModel, SizeModel};
-use nerflex_render::{render_assets, RenderOptions};
-use nerflex_scene::camera_path::orbit_path;
 use nerflex_scene::dataset::Dataset;
 use nerflex_scene::object::CanonicalObject;
 use nerflex_scene::scene::Scene;
@@ -89,45 +85,10 @@ fn bench_interpolation_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_mlp_vs_analytic_shading(c: &mut Criterion) {
-    // Deferred-MLP shading vs analytic shading at render time.
-    let mut asset = bake_object(&CanonicalObject::Hotdog.build(), BakeConfig::new(16, 5));
-    asset.mlp = Some(TinyMlp::shading_model(1));
-    let bb = asset.world_bounding_box();
-    let pose = orbit_path(bb.center(), bb.diagonal().max(1.0) * 1.4, 0.4, 4)[0];
-    let assets = vec![asset];
-    let mut group = c.benchmark_group("ablation_deferred_shading");
-    group.sample_size(10);
-    group.bench_function("analytic", |b| {
-        b.iter(|| {
-            render_assets(
-                &assets,
-                &pose,
-                64,
-                64,
-                &RenderOptions { use_mlp_shading: false, ..RenderOptions::default() },
-            )
-        })
-    });
-    group.bench_function("tiny_mlp", |b| {
-        b.iter(|| {
-            render_assets(
-                &assets,
-                &pose,
-                64,
-                64,
-                &RenderOptions { use_mlp_shading: true, ..RenderOptions::default() },
-            )
-        })
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_dp_quantisation,
     bench_segmentation_statistic,
-    bench_interpolation_kernels,
-    bench_mlp_vs_analytic_shading
+    bench_interpolation_kernels
 );
 criterion_main!(benches);

@@ -56,7 +56,7 @@ fn fixture() -> (BakedAsset, CameraPose) {
 }
 
 fn render(asset: &BakedAsset, pose: &CameraPose, workers: usize) -> nerflex_image::Image {
-    let options = RenderOptions { splat_workers: workers, ..RenderOptions::default() };
+    let options = RenderOptions { splat_workers: workers };
     render_assets(std::slice::from_ref(asset), pose, RES, RES, &options).0
 }
 

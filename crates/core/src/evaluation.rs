@@ -9,10 +9,9 @@ use crate::baselines::BaselineResult;
 use crate::pipeline::NerflexDeployment;
 use nerflex_bake::BakedAsset;
 use nerflex_device::{simulate_session, DeviceSpec, SessionReport, Workload};
-use nerflex_image::{lpips::lpips_proxy, metrics, Mask};
+use nerflex_image::{lpips::lpips_proxy, metrics, Image, Mask};
 use nerflex_render::{render_assets, RenderOptions};
-use nerflex_scene::camera_path::CameraPose;
-use nerflex_scene::dataset::Dataset;
+use nerflex_scene::dataset::{Dataset, View};
 use nerflex_scene::scene::Scene;
 
 /// Full evaluation of one deployed representation on one device.
@@ -48,21 +47,29 @@ pub fn quality_against_dataset(
     scene: &Scene,
     dataset: &Dataset,
 ) -> (f64, f64, f64) {
-    let poses: Vec<CameraPose> = dataset.test.iter().map(|v| v.pose).collect();
-    assert!(!poses.is_empty(), "dataset has no test views");
+    assert!(!dataset.test.is_empty(), "dataset has no test views");
+    let _ = scene; // ground truth comes from the dataset's cached test views
+    mean_quality(dataset, |view| {
+        let options = RenderOptions::default();
+        render_assets(assets, &view.pose, dataset.width, dataset.height, &options).0
+    })
+}
+
+/// Mean `(ssim, psnr, lpips)` of `render(view)` against every test view's
+/// ground-truth image, summed in view order. PSNR is capped at 99 dB so
+/// that identical images stay finite.
+fn mean_quality(dataset: &Dataset, render: impl Fn(&View) -> Image) -> (f64, f64, f64) {
     let mut ssim = 0.0;
     let mut psnr = 0.0;
     let mut lpips = 0.0;
-    for (pose, view) in poses.iter().zip(&dataset.test) {
-        let (img, _) =
-            render_assets(assets, pose, dataset.width, dataset.height, &RenderOptions::default());
+    for view in &dataset.test {
+        let img = render(view);
         let fused = metrics::quality_metrics(&view.image, &img);
         ssim += fused.ssim;
         psnr += fused.psnr.min(99.0);
         lpips += lpips_proxy(&view.image, &img);
     }
-    let n = poses.len() as f64;
-    let _ = scene; // ground truth comes from the dataset's cached test views
+    let n = dataset.test.len() as f64;
     (ssim / n, psnr / n, lpips / n)
 }
 
@@ -140,41 +147,23 @@ pub fn evaluate_reference(
     scene: &Scene,
     dataset: &Dataset,
 ) -> DeploymentEvaluation {
-    let mut ssim = 0.0;
-    let mut psnr = 0.0;
-    let mut lpips = 0.0;
-    for view in &dataset.test {
-        let img = crate::baselines::render_reference(
-            scene,
-            method,
-            &view.pose,
-            dataset.width,
-            dataset.height,
-        );
-        let fused = metrics::quality_metrics(&view.image, &img);
-        ssim += fused.ssim;
-        psnr += fused.psnr.min(99.0);
-        lpips += lpips_proxy(&view.image, &img);
-    }
-    let n = dataset.test.len() as f64;
+    let (ssim, psnr, lpips) = mean_quality(dataset, |view| {
+        crate::baselines::render_reference(scene, method, &view.pose, dataset.width, dataset.height)
+    });
     DeploymentEvaluation {
         method: method.name().to_string(),
         device: "server".to_string(),
-        ssim: ssim / n,
-        psnr: psnr / n,
-        lpips: lpips / n,
+        ssim,
+        psnr,
+        lpips,
         size_mb: f64::NAN,
         session: simulate_session(
             &DeviceSpec::iphone_13(),
             &Workload { data_size_mb: f64::INFINITY, total_quads: 0 },
             0,
-            seed_for_reference(),
+            0,
         ),
     }
-}
-
-fn seed_for_reference() -> u64 {
-    0
 }
 
 /// Per-object quality of a deployment (Fig. 8a): SSIM restricted to each
@@ -206,6 +195,15 @@ mod tests {
         let scene = Scene::with_objects(&[CanonicalObject::Hotdog, CanonicalObject::Lego], 31);
         let dataset = Dataset::generate(&scene, 3, 2, 56, 56);
         (scene, dataset)
+    }
+
+    #[test]
+    fn identical_image_sets_are_perfect() {
+        let (_, dataset) = scene_and_dataset();
+        let (ssim, psnr, lpips) = mean_quality(&dataset, |view| view.image.clone());
+        assert_eq!(ssim, 1.0);
+        assert_eq!(psnr, 99.0, "PSNR of identical images is capped at 99 dB");
+        assert!(lpips < 1e-9, "lpips {lpips}");
     }
 
     #[test]

@@ -841,6 +841,9 @@ mod tests {
             pipeline.try_run(&scene, &dataset, &DeviceSpec::iphone_13()).expect("deploy");
 
         assert_eq!(deployment.assets.len(), 2);
+        // No deployed asset carries a shading network: its bytes are a
+        // constant charge, and every fragment takes the analytic shader.
+        assert!(deployment.assets.iter().all(|asset| asset.mlp.is_none()));
         assert_eq!(deployment.profiles.len(), 2);
         assert_eq!(deployment.selection.assignments.len(), 2);
         assert!(deployment.selection.feasible);

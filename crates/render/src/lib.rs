@@ -3,8 +3,8 @@
 //! Software renderer for baked assets — the stand-in for the WebGL rendering
 //! engine the paper runs on the phones. Baked quad meshes are rasterised
 //! with a z-buffer, textured from the atlas and shaded with the shared
-//! shading model (or the baked deferred MLP), so the images it produces can
-//! be compared pixel-for-pixel against the ray-marched ground truth.
+//! analytic shading model, so the images it produces can be compared
+//! pixel-for-pixel against the ray-marched ground truth.
 //!
 //! ```
 //! use nerflex_bake::{bake_object, BakeConfig};
@@ -24,13 +24,11 @@
 #![warn(rust_2018_idioms)]
 
 pub mod camera;
-pub mod compare;
 pub mod framebuffer;
 pub mod raster;
 pub mod renderer;
 pub mod splat;
 
-pub use compare::{compare_against_ground_truth, QualityReport};
 pub use framebuffer::Framebuffer;
 pub use renderer::{render_assets, RenderOptions, RenderStats};
 pub use splat::composite_splats;

@@ -3,8 +3,8 @@
 //! Each baked quad is split into two triangles whose vertices carry the patch
 //! UV coordinate and the surface normal; fragments are produced with the
 //! perspective-correctly interpolated attributes and handed to a shading
-//! callback, which is how the renderer keeps rasterisation independent of the
-//! texturing / MLP shading policy.
+//! callback, which is how the renderer keeps rasterisation independent of
+//! texturing and shading.
 //!
 //! # Inner loop and the determinism contract
 //!

@@ -9,12 +9,10 @@ use nerflex_math::Vec2;
 use nerflex_scene::camera_path::CameraPose;
 use nerflex_scene::raymarch::{background, shade};
 
-/// Options controlling how baked assets are shaded and composited.
+/// Options for [`render_assets`]. Mesh fragments always take the analytic
+/// shading model; the options steer only the splat compositor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RenderOptions {
-    /// Shade fragments with the asset's deferred MLP (when present) instead
-    /// of the analytic shading model. Used by the MLP ablation benchmark.
-    pub use_mlp_shading: bool,
     /// Worker count for the row-parallel splat compositor (0 = one worker
     /// per available core). Never changes output bits
     /// (`docs/determinism.md`).
@@ -74,11 +72,7 @@ pub fn render_assets(
             let v2 = corner(2, 1.0, 1.0);
             let v3 = corner(3, 0.0, 1.0);
             let mut shade_fragment = |frag: crate::raster::Fragment| -> Color {
-                let albedo = asset.atlas.sample(q, frag.uv.x, frag.uv.y);
-                match (&asset.mlp, options.use_mlp_shading) {
-                    (Some(mlp), true) => mlp.shade(frag.normal, albedo),
-                    _ => shade(albedo, frag.normal),
-                }
+                shade(asset.atlas.sample(q, frag.uv.x, frag.uv.y), frag.normal)
             };
             draw_triangle(
                 &camera,
@@ -109,26 +103,6 @@ pub fn render_assets(
     stats.splats_submitted =
         crate::splat::composite_splats(assets, &camera, &mut framebuffer, options);
     (framebuffer.into_image(), stats)
-}
-
-/// Convenience wrapper: world-space eye-to-target distance heuristic for
-/// whether an asset is in front of the camera at all (used by the device
-/// session simulator to estimate per-frame workload without shading).
-/// Counts device-side primitives — mesh quads plus splats.
-pub fn visible_quads(assets: &[BakedAsset], pose: &CameraPose) -> usize {
-    assets
-        .iter()
-        .map(|asset| {
-            let bb = asset.world_bounding_box();
-            let to_center = (bb.center() - pose.eye).normalized();
-            let view_dir = (pose.target - pose.eye).normalized();
-            if to_center.dot(view_dir) > 0.0 {
-                asset.primitive_count()
-            } else {
-                0
-            }
-        })
-        .sum()
 }
 
 #[cfg(test)]
@@ -187,29 +161,6 @@ mod tests {
     }
 
     #[test]
-    fn mlp_shading_is_close_to_analytic_shading() {
-        let mut asset = hotdog_asset(BakeConfig::new(14, 5));
-        asset.mlp = Some(nerflex_bake::TinyMlp::shading_model(3));
-        let pose = front_pose(std::slice::from_ref(&asset));
-        let (analytic, _) = render_assets(
-            std::slice::from_ref(&asset),
-            &pose,
-            48,
-            48,
-            &RenderOptions { use_mlp_shading: false, ..RenderOptions::default() },
-        );
-        let (mlp, _) = render_assets(
-            &[asset],
-            &pose,
-            48,
-            48,
-            &RenderOptions { use_mlp_shading: true, ..RenderOptions::default() },
-        );
-        let ssim = metrics::ssim(&analytic, &mlp);
-        assert!(ssim > 0.8, "MLP shading diverges from analytic shading: SSIM {ssim}");
-    }
-
-    #[test]
     fn multiple_assets_render_without_interference() {
         let scene = Scene::with_objects(&[CanonicalObject::Hotdog, CanonicalObject::Chair], 4);
         let assets: Vec<BakedAsset> =
@@ -223,15 +174,5 @@ mod tests {
         let total_quads: usize = assets.iter().map(|a| a.mesh.quad_count()).sum();
         assert_eq!(stats.quads_submitted, total_quads);
         assert!(stats.fragments_shaded > 0);
-    }
-
-    #[test]
-    fn visible_quads_counts_assets_in_front() {
-        let asset = hotdog_asset(BakeConfig::new(12, 3));
-        let pose = front_pose(std::slice::from_ref(&asset));
-        assert_eq!(visible_quads(std::slice::from_ref(&asset), &pose), asset.mesh.quad_count());
-        // Looking the other way sees nothing.
-        let away = CameraPose::new(pose.eye, pose.eye + (pose.eye - pose.target), pose.fov_y);
-        assert_eq!(visible_quads(std::slice::from_ref(&asset), &away), 0);
     }
 }

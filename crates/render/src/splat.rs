@@ -273,10 +273,9 @@ mod tests {
         // The acceptance criterion: {1, 4, auto} workers all produce the
         // same bits.
         let asset = splat_asset(768);
-        let reference =
-            render_with(&asset, &RenderOptions { splat_workers: 1, ..RenderOptions::default() }).0;
+        let reference = render_with(&asset, &RenderOptions { splat_workers: 1 }).0;
         for workers in [1usize, 4, 0] {
-            let options = RenderOptions { splat_workers: workers, ..RenderOptions::default() };
+            let options = RenderOptions { splat_workers: workers };
             let img = render_with(&asset, &options).0;
             assert!(
                 reference.pixels().iter().zip(img.pixels()).all(|(a, b)| {

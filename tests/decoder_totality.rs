@@ -120,11 +120,28 @@ fn bake_entries() -> &'static [Entry] {
     ENTRIES.get_or_init(build_bake_entries)
 }
 
+/// A 6-16-16-3 network (the shape `DEFAULT_MLP_BYTES` charges) whose
+/// parameters are fixed and pairwise distinct.
+fn fixed_mlp() -> TinyMlp {
+    let widths = [6, 16, 16, 3];
+    let mut k = 0u16;
+    let mut next = || {
+        k += 1;
+        f32::from(k) / 64.0 - 2.0
+    };
+    let weights = widths
+        .windows(2)
+        .map(|w| (0..w[1]).map(|_| (0..w[0]).map(|_| next()).collect()).collect())
+        .collect();
+    let biases = widths[1..].iter().map(|&n| (0..n).map(|_| next()).collect()).collect();
+    TinyMlp::from_parameters(weights, biases).expect("consistent shapes")
+}
+
 fn build_bake_entries() -> Vec<Entry> {
     let model = CanonicalObject::Hotdog.build();
     let mesh = bake_object(&model, BakeConfig::new(6, 2));
     let mut with_mlp = mesh.clone();
-    with_mlp.mlp = Some(TinyMlp::shading_model(7));
+    with_mlp.mlp = Some(fixed_mlp());
     let splat = bake_object(&model, BakeConfig::splat(8, 64));
     [mesh, with_mlp, splat]
         .into_iter()
